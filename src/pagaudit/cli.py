@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -85,23 +86,13 @@ def _load_dataset(data: str, schema: str | None) -> tuple[Dataset, list[Path]]:
     return read_csv(data_path, schema_map), [data_path, schema_path]
 
 
-def _load_knowledge(
-    knowledge: str | None, target: str | None, names
-) -> tuple[BackgroundKnowledge | None, list[Path]]:
-    known: BackgroundKnowledge | None = None
-    inputs: list[Path] = []
-    if knowledge:
-        kpath = Path(knowledge)
-        if not kpath.exists():
-            raise InputError(f"knowledge file not found: {knowledge}")
-        known = parse_knowledge(kpath.read_text(encoding="utf-8"), names)
-        inputs.append(kpath)
-    if target is not None:
-        if target not in names:
-            raise InputError(f"target {target!r} is not a variable")
-        base = BackgroundKnowledge.non_ancestor_of_all(target, names)
-        known = base.merged_with(known)
-    return known, inputs
+def _load_knowledge(knowledge: str | None, names) -> tuple[BackgroundKnowledge | None, list[Path]]:
+    if not knowledge:
+        return None, []
+    kpath = Path(knowledge)
+    if not kpath.exists():
+        raise InputError(f"knowledge file not found: {knowledge}")
+    return parse_knowledge(kpath.read_text(encoding="utf-8"), names), [kpath]
 
 
 def _graph_text(g: MixedGraph, fmt: str) -> str:
@@ -110,18 +101,6 @@ def _graph_text(g: MixedGraph, fmt: str) -> str:
     if fmt == "json":
         return to_json(g)
     raise InputError(f"unknown output format {fmt!r}")
-
-
-def _diagnostics_obj(diag) -> dict:
-    return {
-        "tests_run": diag.tests_run,
-        "cache_hits": diag.cache_hits,
-        "dof_zero_warnings": diag.dof_zero_warnings,
-        "stage_edge_counts": diag.stage_edge_counts,
-        "rule_firings": diag.rule_firings,
-        "collider_conflicts": diag.collider_conflicts,
-        "notes": diag.notes,
-    }
 
 
 # -- command handlers ----------------------------------------------------------
@@ -143,19 +122,19 @@ def cmd_simulate(params: dict) -> None:
 
 def cmd_discover(params: dict) -> None:
     d, inputs = _load_dataset(params["data"], params.get("schema"))
-    knowledge, kinputs = _load_knowledge(params.get("knowledge"), params.get("target"), d.names)
+    knowledge, kinputs = _load_knowledge(params.get("knowledge"), d.names)
     cfg = FciConfig(
         alpha=params["alpha"],
         max_cond_size=params["max_cond_size"],
         enable_possible_dsep=not params["no_possible_dsep"],
         test=params["test"],
     )
-    result = fci_run(d, knowledge=knowledge, cfg=cfg)
+    result = fci_run(d, knowledge=knowledge, cfg=cfg, target=params.get("target"))
     out = Path(params["out"])
     out.write_text(_graph_text(result.graph, params["format"]), encoding="utf-8")
     diag_path = Path(str(out) + ".diagnostics.json")
     diag_path.write_text(
-        json.dumps(_diagnostics_obj(result.diagnostics), indent=2, sort_keys=True) + "\n",
+        json.dumps(asdict(result.diagnostics), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
     _write_manifest("discover", params, inputs + kinputs, [out, diag_path])
@@ -165,7 +144,7 @@ def cmd_discover(params: dict) -> None:
 def cmd_stability(params: dict) -> None:
     d, inputs = _load_dataset(params["data"], params.get("schema"))
     target = params["target"]
-    knowledge, kinputs = _load_knowledge(params.get("knowledge"), None, d.names)
+    knowledge, kinputs = _load_knowledge(params.get("knowledge"), d.names)
     cfg = StabilityConfig(
         target=target,
         replicates=int(params["replicates"]),
@@ -178,7 +157,7 @@ def cmd_stability(params: dict) -> None:
         ),
         subsample_fraction=params.get("subsample_fraction"),
     )
-    report = run_stability(d, cfg, knowledge=knowledge, threads=int(params["threads"]))
+    report = run_stability(d, cfg, knowledge=knowledge)
     prefix = Path(params["out"])
     json_path = Path(str(prefix) + ".json")
     csv_path = Path(str(prefix) + ".csv")
@@ -206,9 +185,9 @@ def cmd_oracle(params: dict) -> None:
     if len(observed) < 2:
         raise InputError("need at least two observed nodes")
     oracle = CiOracle(truth, tuple(observed))
-    knowledge, kinputs = _load_knowledge(params.get("knowledge"), params.get("target"), observed)
+    knowledge, kinputs = _load_knowledge(params.get("knowledge"), observed)
     cfg = FciConfig(alpha=0.05, max_cond_size=params["max_cond_size"], test="oracle")
-    result = fci_run(oracle, knowledge=knowledge, cfg=cfg)
+    result = fci_run(oracle, knowledge=knowledge, cfg=cfg, target=params.get("target"))
     out = Path(params["out"])
     out.write_text(_graph_text(result.graph, params["format"]), encoding="utf-8")
     _write_manifest("oracle", params, inputs + kinputs, [out])
@@ -281,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=50)
     p.add_argument("--base-seed", type=int, default=None, dest="base_seed")
     p.add_argument("--subsample-fraction", type=float, default=None, dest="subsample_fraction")
-    p.add_argument("--threads", type=int, default=1)
     add_fci_flags(p)
     p.add_argument("--out", required=True, help="output prefix for .json and .csv")
 

@@ -107,6 +107,13 @@ class Dataset:
         )
 
 
+def keyed_rng(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based Philox generator keyed by (seed, stream), each taken
+    modulo 2**64; a key gives the same stream on every platform."""
+    key = np.array([seed % (1 << 64), stream % (1 << 64)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def parse_schema(text: str) -> dict[str, tuple[str, int | None]]:
     """Parse ``name:cat:<arity>`` / ``name:cont`` lines into a schema map."""
     schema: dict[str, tuple[str, int | None]] = {}
@@ -143,11 +150,9 @@ def read_csv_text(
     text: str, schema: dict[str, tuple[str, int | None]], source: str = "<csv>"
 ) -> Dataset:
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{source}: empty file") from None
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in next(reader, [])]
+    if not header:
+        raise InputError(f"{source}: empty file or header")
     missing = [h for h in header if h not in schema]
     if missing:
         raise SchemaError(f"{source}: columns not in schema: {missing}")

@@ -119,8 +119,8 @@ class SepSetMap:
 class CiTester:
     """Caching adapter from (x, y, S) index queries to a CI decision.
 
-    Wraps a dataset-backed test or an oracle; counts evaluations, cache hits
-    and zero-dof (uninformative) results.
+    Wraps a dataset-backed test or an oracle, chosen once at construction;
+    counts evaluations, cache hits and zero-dof (uninformative) results.
     """
 
     def __init__(
@@ -134,29 +134,11 @@ class CiTester:
         self._cache: dict[tuple[int, int, frozenset[int]], bool] = {}
         if isinstance(source, CiOracle):
             self.names = tuple(source.observed)
-            self._oracle = source
-            self._dataset = None
-            self.mode = "oracle"
         elif isinstance(source, Dataset):
             self.names = tuple(source.names)
-            self._oracle = None
-            self._dataset = source
-            self.mode = self._resolve_mode(source, cfg.test)
         else:
             raise InputError(f"cannot test on source of type {type(source).__name__}")
-
-    @staticmethod
-    def _resolve_mode(d: Dataset, selector: str) -> str:
-        if selector == "oracle":
-            raise InputError("oracle test selected but source is a dataset")
-        if selector != "auto":
-            return selector
-        kinds = {c.kind for c in d.columns}
-        if kinds == {CATEGORICAL}:
-            return "chi2"
-        if kinds == {CONTINUOUS}:
-            return "fisherz"
-        raise InputError("mixed column kinds: choose the test explicitly")
+        self._decide = _decider(source, cfg, self.diagnostics)
 
     def __call__(self, x: int, y: int, s: tuple[int, ...]) -> bool:
         key = (x, y, frozenset(s)) if x < y else (y, x, frozenset(s))
@@ -166,7 +148,9 @@ class CiTester:
             return hit
         self.diagnostics.tests_run += 1
         try:
-            independent = self._evaluate(x, y, s)
+            independent = self._decide(
+                self.names[x], self.names[y], tuple(self.names[v] for v in s)
+            )
         except Exception as exc:
             query = f"{self.names[x]} _||_ {self.names[y]} | {sorted(self.names[v] for v in s)}"
             try:
@@ -177,18 +161,37 @@ class CiTester:
         self._cache[key] = independent
         return independent
 
-    def _evaluate(self, x: int, y: int, s: tuple[int, ...]) -> bool:
-        xn, yn = self.names[x], self.names[y]
-        sn = tuple(self.names[v] for v in s)
-        if self.mode == "oracle":
-            return oracle_test(self._oracle, xn, yn, sn)
-        if self.mode == "fisherz":
-            return fisher_z_test(self._dataset, xn, yn, sn, self.cfg.alpha).independent
-        variant = GSQUARED if self.mode == "g2" else PEARSON
-        result = chi_square_test(self._dataset, xn, yn, sn, self.cfg.alpha, variant)
+
+def _decider(source: Dataset | CiOracle, cfg: FciConfig, diag: Diagnostics):
+    """The CI decision on (x, y, S) names for this source and test selector.
+
+    An oracle source always uses the oracle; ``auto`` picks chi-square for
+    all-categorical data and Fisher-z for all-continuous data.
+    """
+    if isinstance(source, CiOracle):
+        return lambda x, y, s: oracle_test(source, x, y, s)
+    test = cfg.test
+    if test == "oracle":
+        raise InputError("oracle test selected but source is a dataset")
+    if test == "auto":
+        kinds = {c.kind for c in source.columns}
+        if kinds == {CATEGORICAL}:
+            test = "chi2"
+        elif kinds == {CONTINUOUS}:
+            test = "fisherz"
+        else:
+            raise InputError("mixed column kinds: choose the test explicitly")
+    if test == "fisherz":
+        return lambda x, y, s: fisher_z_test(source, x, y, s, cfg.alpha).independent
+    variant = GSQUARED if test == "g2" else PEARSON
+
+    def chi2(x: str, y: str, s: tuple[str, ...]) -> bool:
+        result = chi_square_test(source, x, y, s, cfg.alpha, variant)
         if result.dof == 0:
-            self.diagnostics.dof_zero_warnings += 1
+            diag.dof_zero_warnings += 1
         return result.independent
+
+    return chi2
 
 
 # -- skeleton ------------------------------------------------------------------

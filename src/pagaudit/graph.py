@@ -107,9 +107,6 @@ class MixedGraph:
         except KeyError:
             raise InputError(f"unknown node {node!r}") from None
 
-    def name(self, i: int) -> str:
-        return self.names[self.index(i)]
-
     @property
     def n_nodes(self) -> int:
         return len(self.names)
@@ -241,16 +238,6 @@ class MixedGraph:
                 return False
         return True
 
-    def is_ancestral(self) -> bool:
-        """Acyclic and no node is both an ancestor of and bidirected-linked to another."""
-        if not self.is_acyclic():
-            return False
-        for (i, j), (mi, mj) in self._marks.items():
-            if mi is Mark.ARROW and mj is Mark.ARROW:
-                if j in descendants_indices(self, i) or i in descendants_indices(self, j):
-                    return False
-        return True
-
 
 # -- separation ---------------------------------------------------------------
 
@@ -265,15 +252,20 @@ def _check_query(g: MixedGraph, x: str | int, y: str | int, z) -> tuple[int, int
     return xi, yi, zi
 
 
-def _separated(g: MixedGraph, xi: int, yi: int, zi: set[int]) -> bool:
-    """Reachability over (node, entry-mark) states; shared by d- and m-separation.
+def d_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
+    """d-separation of ``x`` and ``y`` given ``z`` in a DAG.
 
-    A walk continues through node ``v`` entered with mark ``m`` iff
-    - ``v`` is a collider there (``m`` and the outgoing mark at ``v`` are both
-      arrows) and ``v`` has a descendant in ``z`` (itself included), or
-    - ``v`` is a non-collider there and ``v`` is not in ``z``.
+    True iff every path between them is blocked: a non-collider blocks when it
+    is in ``z``; a collider blocks unless it or one of its descendants is in
+    ``z``.
     """
-    # nodes with a definite directed path into z (z itself included)
+    if g.kind is not GraphKind.DAG:
+        raise InputError(f"d_separated requires a DAG, got kind {g.kind.value!r}")
+    xi, yi, zi = _check_query(g, x, y, z)
+    # Reachability over (node, entry mark) states: a walk continues through v
+    # entered with mark m iff v is a collider there (m and the outgoing mark
+    # are both arrows) with a descendant in z (itself included), or v is a
+    # non-collider outside z.  In a DAG an open walk implies an open path.
     open_colliders = g._reach(set(zi), g._directed_parents)
     seen: set[tuple[int, Mark]] = set()
     todo: deque[tuple[int, Mark]] = deque()
@@ -302,19 +294,6 @@ def _separated(g: MixedGraph, xi: int, yi: int, zi: set[int]) -> bool:
     return True
 
 
-def d_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
-    """d-separation of ``x`` and ``y`` given ``z`` in a DAG.
-
-    True iff every path between them is blocked: a non-collider blocks when it
-    is in ``z``; a collider blocks unless it or one of its descendants is in
-    ``z``.
-    """
-    if g.kind is not GraphKind.DAG:
-        raise InputError(f"d_separated requires a DAG, got kind {g.kind.value!r}")
-    xi, yi, zi = _check_query(g, x, y, z)
-    return _separated(g, xi, yi, zi)
-
-
 def m_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
     """m-separation of ``x`` and ``y`` given ``z`` in a MAG or PAG.
 
@@ -323,7 +302,26 @@ def m_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
     when in ``z``.
     """
     xi, yi, zi = _check_query(g, x, y, z)
-    return _separated(g, xi, yi, zi)
+    open_colliders = g._reach(set(zi), g._directed_parents)
+
+    # Depth-first over simple paths: a walk that revisits a node can enter it
+    # through a circle mark and pass it as a non-collider, though every path
+    # through it is blocked, so d_separated's walk search is unsound here.
+    def open_path(prev: int, v: int, on_path: set[int]) -> bool:
+        if v == yi:
+            return True
+        entry = g.mark_at(v, prev)
+        for w in g.neighbors(v):
+            if w in on_path:
+                continue
+            collider = entry is Mark.ARROW and g.mark_at(v, w) is Mark.ARROW
+            if not (v in open_colliders if collider else v not in zi):
+                continue
+            if open_path(v, w, on_path | {w}):
+                return True
+        return False
+
+    return not any(open_path(xi, w, {xi, w}) for w in g.neighbors(xi))
 
 
 def descendants_indices(g: MixedGraph, x: str | int) -> set[int]:

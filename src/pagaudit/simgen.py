@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import CATEGORICAL, Column, Dataset
+from .data import CATEGORICAL, Column, Dataset, keyed_rng
 from .errors import FitError, InputError
 from .graph import GraphKind, MixedGraph
 
@@ -69,13 +69,6 @@ def expit(t):
     return out if out.ndim else float(out)
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    # counter-based generator; each row consumes a fixed number of draws, so
-    # generation can be split across workers without changing the output
-    key = np.array([np.uint64(seed % (1 << 64)), np.uint64(stream)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def sample_dataset(n: int, seed: int, include_c: bool = True) -> Dataset:
     """Draw n independent rows from the structural equations.
 
@@ -84,7 +77,7 @@ def sample_dataset(n: int, seed: int, include_c: bool = True) -> Dataset:
     """
     if n < 1:
         raise InputError("need at least one row")
-    u = _rng(seed, 0).random((n, 7))
+    u = keyed_rng(seed, 0).random((n, 7))
     u1, u2 = u[:, 0], u[:, 1]
     h = (u[:, 2] < u1).astype(np.int64)
     v = (u[:, 3] < 1.0 - u1).astype(np.int64)
@@ -103,20 +96,16 @@ def sample_dataset(n: int, seed: int, include_c: bool = True) -> Dataset:
 
 
 def fit_logistic(
-    x: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    start: np.ndarray | None = None,
+    x: np.ndarray, y: np.ndarray, tol: float = 1e-8, max_iter: int = 200
 ) -> np.ndarray:
     """Maximum-likelihood logistic coefficients (intercept first).
 
-    Newton ascent on the log-likelihood until the gradient's max-norm falls
-    below ``tol``.  The problem is concave, so the optimum does not depend on
-    the starting point once the iteration converges.
+    Newton ascent from zero on the log-likelihood until the gradient's
+    max-norm falls below ``tol``.  The problem is concave, so the optimum
+    does not depend on the starting point once the iteration converges.
     """
     x = np.column_stack([np.ones(len(y)), x])
-    beta = np.zeros(x.shape[1]) if start is None else np.asarray(start, dtype=np.float64)
+    beta = np.zeros(x.shape[1])
     for _ in range(max_iter):
         p = expit(x @ beta)
         grad = x.T @ (y - p)
@@ -142,7 +131,6 @@ SURROGATE_PREDICTORS = ("H", "V", "C", "R")
 def surrogate_predictor(
     d: Dataset,
     mode: str = "perfect",
-    seed: int = 0,
     target_name: str = DEFAULT_TARGET,
     outcome: str = "Y",
 ) -> Dataset:
@@ -151,7 +139,7 @@ def surrogate_predictor(
     ``perfect`` copies the outcome; ``logistic`` fits an ML logistic model of
     the outcome on whichever of H, V, C, R are present and thresholds the
     fitted probability at one half.  The fit is deterministic (the likelihood
-    is concave); ``seed`` only perturbs the optimizer start.
+    is concave).
     """
     if mode not in ("perfect", "logistic"):
         raise InputError(f"unknown surrogate mode {mode!r}")
@@ -168,8 +156,7 @@ def surrogate_predictor(
         if y.min() == y.max():
             raise FitError(f"outcome {outcome!r} is constant; nothing to fit")
         x = np.column_stack([d.col(f).values.astype(np.float64) for f in feats])
-        start = _rng(seed, 1).normal(scale=1e-3, size=x.shape[1] + 1)
-        beta = fit_logistic(x, y.astype(np.float64), start=start)
+        beta = fit_logistic(x, y.astype(np.float64))
         prob = expit(np.column_stack([np.ones(d.n), x]) @ beta)
         yhat = (prob > 0.5).astype(np.int64)
     out = d.drop(outcome)
@@ -191,5 +178,5 @@ def simulate(
     Column order is H, V [, C], R, prediction.
     """
     full = sample_dataset(n, seed, include_c=True)
-    pred = surrogate_predictor(full, mode=mode, seed=seed, target_name=target_name)
+    pred = surrogate_predictor(full, mode=mode, target_name=target_name)
     return pred if include_c else pred.drop("C")

@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, keyed_rng
 from .errors import InputError, PagauditError
 from .fci import FciConfig, fci_run
 from .graph import BackgroundKnowledge, EdgeClass, classify_edge
@@ -119,36 +118,28 @@ class StabilityReport:
         return buf.getvalue()
 
 
-def bootstrap_replicate(d: Dataset, base_seed: int, index: int = 0) -> Dataset:
-    """Resample n rows with replacement using a counter-based generator keyed
-    by (base_seed, replicate index); the schema is unchanged."""
+def bootstrap_replicate(
+    d: Dataset, base_seed: int, index: int = 0, fraction: float | None = None
+) -> Dataset:
+    """Resample the rows with a counter-based generator keyed by (base_seed,
+    replicate index); the schema is unchanged.
+
+    With ``fraction`` None, n rows are drawn with replacement; otherwise
+    round(fraction * n) distinct rows (at least one) are kept in data order.
+    """
     if d.n < 1:
         raise InputError("cannot resample an empty dataset")
-    key = np.array(
-        [np.uint64(base_seed % (1 << 64)), np.uint64(index % (1 << 64))], dtype=np.uint64
-    )
-    rng = np.random.Generator(np.random.Philox(key=key))
-    idx = rng.integers(0, d.n, size=d.n)
-    return d.take_rows(idx)
-
-
-def _subsample_replicate(d: Dataset, base_seed: int, index: int, fraction: float) -> Dataset:
-    key = np.array(
-        [np.uint64(base_seed % (1 << 64)), np.uint64(index % (1 << 64))], dtype=np.uint64
-    )
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = keyed_rng(base_seed, index)
+    if fraction is None:
+        return d.take_rows(rng.integers(0, d.n, size=d.n))
     m = max(1, int(round(fraction * d.n)))
-    idx = rng.permutation(d.n)[:m]
-    return d.take_rows(np.sort(idx))
+    return d.take_rows(np.sort(rng.permutation(d.n)[:m]))
 
 
 def _one_replicate(
     d: Dataset, cfg: StabilityConfig, knowledge: BackgroundKnowledge | None, index: int
 ) -> dict[str, EdgeClass]:
-    if cfg.subsample_fraction is None:
-        rep = bootstrap_replicate(d, cfg.base_seed, index)
-    else:
-        rep = _subsample_replicate(d, cfg.base_seed, index, cfg.subsample_fraction)
+    rep = bootstrap_replicate(d, cfg.base_seed, index, cfg.subsample_fraction)
     result = fci_run(rep, knowledge=knowledge, cfg=cfg.fci, target=cfg.target)
     return {
         name: classify_edge(result.graph, name, cfg.target)
@@ -161,13 +152,12 @@ def run_stability(
     d: Dataset,
     cfg: StabilityConfig,
     knowledge: BackgroundKnowledge | None = None,
-    threads: int = 1,
 ) -> StabilityReport:
     """Aggregate per-feature edge classifications over bootstrap replicates.
 
-    Replicates are independent; ``threads`` bounds concurrent evaluation and
-    never changes the result because aggregation folds in replicate order.
-    Failed replicates are recorded and excluded from the denominators.
+    Replicates run one after another, and each depends only on the data, the
+    base seed and its index, so the report is reproducible from the base
+    seed.  Failed replicates are recorded and excluded from the denominators.
     """
     if not d.has(cfg.target):
         raise InputError(f"target {cfg.target!r} is not a column")
@@ -175,33 +165,18 @@ def run_stability(
     if not features:
         raise InputError("no feature columns besides the target")
 
-    outcomes: list[dict[str, EdgeClass] | Exception] = [None] * cfg.replicates  # type: ignore
-
-    def work(i: int):
-        try:
-            return _one_replicate(d, cfg, knowledge, i)
-        except PagauditError as exc:
-            return exc
-
-    if threads <= 1:
-        for i in range(cfg.replicates):
-            outcomes[i] = work(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in enumerate(pool.map(work, range(cfg.replicates))):
-                outcomes[i] = res
-
     counts = {name: {c: 0 for c in _CLASS_ORDER} for name in features}
     failures: list[tuple[int, str]] = []
-    successes = 0
-    for i, res in enumerate(outcomes):
-        if isinstance(res, Exception):
-            failures.append((i, str(res)))
+    for i in range(cfg.replicates):
+        try:
+            classes = _one_replicate(d, cfg, knowledge, i)
+        except PagauditError as exc:
+            failures.append((i, str(exc)))
             continue
-        successes += 1
-        for name, cls in res.items():
+        for name, cls in classes.items():
             counts[name][cls] += 1
-    report = StabilityReport(
+    successes = cfg.replicates - len(failures)
+    return StabilityReport(
         target=cfg.target,
         replicates=cfg.replicates,
         successes=successes,
@@ -210,4 +185,3 @@ def run_stability(
         },
         failures=failures,
     )
-    return report

@@ -49,6 +49,8 @@ def test_read_csv_rejects_missing_and_malformed():
         read_csv_text("a,q\n0,1\n", {"a": ("cat", 2)})  # column not in schema
     with pytest.raises(InputError):
         read_csv_text("a,b,x\n0,1,oops\n", SCHEMA)  # non-numeric continuous
+    with pytest.raises(InputError):
+        read_csv_text("\n", SCHEMA)  # blank header
 
 
 def test_categorical_range_enforced():

@@ -13,7 +13,8 @@ from helpers import (
     random_dag,
     separated_by_paths,
 )
-from pagaudit.citests import CiOracle
+from pagaudit import fci as fci_module
+from pagaudit.citests import GSQUARED, PEARSON, CiOracle, CiTestResult
 from pagaudit.data import Column, Dataset
 from pagaudit.errors import (
     InputError,
@@ -142,11 +143,41 @@ def test_test_errors_carry_the_query():
         ]
     )
     tester = CiTester(d, FciConfig(test="chi2"))
-    tester._evaluate = broken
+    tester._decide = broken
     with pytest.raises(ValueError) as err:
         skeleton_search(tester, ("a", "b"), FciConfig())
     assert "a _||_ b" in str(err.value)
     assert isinstance(err.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize(
+    "kind, selector, expected",
+    [
+        ("cat", "auto", ("chi2", PEARSON)),
+        ("cat", "chi2", ("chi2", PEARSON)),
+        ("cat", "g2", ("chi2", GSQUARED)),
+        ("cont", "auto", ("fisherz",)),
+        ("cont", "fisherz", ("fisherz",)),
+    ],
+)
+def test_tester_runs_the_selected_test(monkeypatch, kind, selector, expected):
+    calls = []
+    independent = CiTestResult(0.0, 1, 1.0, True, 0.05)
+
+    def chi2(d, x, y, s, alpha, variant):
+        calls.append(("chi2", variant))
+        return independent
+
+    def fisherz(d, x, y, s, alpha):
+        calls.append(("fisherz",))
+        return independent
+
+    monkeypatch.setattr(fci_module, "chi_square_test", chi2)
+    monkeypatch.setattr(fci_module, "fisher_z_test", fisherz)
+    arity = 2 if kind == "cat" else None
+    d = Dataset([Column(name, kind, np.array([0, 1, 0, 1]), arity) for name in "ab"])
+    assert CiTester(d, FciConfig(test=selector))(0, 1, ()) is True
+    assert calls == [expected]
 
 
 # -- collider orientation -------------------------------------------------------------

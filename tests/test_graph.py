@@ -154,6 +154,19 @@ def test_msep_collider_opened_by_descendant():
     assert m_separated(g, "X", "Y", {"D"}) is False
 
 
+def test_msep_blocked_paths_through_circle_marks():
+    # the walk N4, N1, N3, N0, N3, N2 bounces off the collider N0 in z and
+    # re-enters N3 through a circle mark, but every simple path is blocked
+    g = MixedGraph([f"N{i}" for i in range(5)], GraphKind.PAG)
+    g.add_directed_edge("N0", "N2")
+    g.add_edge("N0", "N3", Mark.ARROW, Mark.CIRCLE)
+    g.add_edge("N1", "N3", Mark.CIRCLE, Mark.ARROW)
+    g.add_bidirected_edge("N1", "N4")
+    g.add_directed_edge("N2", "N3")
+    assert separated_by_paths(g, "N4", "N2", {"N0"})
+    assert m_separated(g, "N4", "N2", {"N0"}) is True
+
+
 # -- ancestry ------------------------------------------------------------------------
 
 

@@ -137,8 +137,8 @@ def test_surrogate_logistic_coefficient_ordering():
 
 def test_surrogate_logistic_deterministic_given_seed():
     d = sample_dataset(2000, 4, include_c=True)
-    a = surrogate_predictor(d, mode="logistic", seed=1)
-    b = surrogate_predictor(d, mode="logistic", seed=1)
+    a = surrogate_predictor(d, mode="logistic")
+    b = surrogate_predictor(d, mode="logistic")
     assert a == b
 
 

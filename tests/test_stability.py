@@ -128,15 +128,6 @@ def test_doubling_replicates_preserves_prefix():
     assert longer[:5] == short
 
 
-def test_threads_do_not_change_report():
-    d = simulate(1500, 6, include_c=False, mode="logistic")
-    cfg = StabilityConfig(target="Yhat", replicates=12, base_seed=3, fci=FciConfig(test="chi2"))
-    a = run_stability(d, cfg, threads=1)
-    b = run_stability(d, cfg, threads=4)
-    assert a.to_json() == b.to_json()
-    assert a.to_csv() == b.to_csv()
-
-
 def test_failures_recorded_and_excluded():
     rng = np.random.default_rng(0)
     # tiny continuous dataset: every replicate fails the fisher-z length check
