@@ -3,13 +3,21 @@
 Three deciders: a stratified chi-square (or G-squared) test for categorical
 columns, a Fisher-z partial-correlation test for continuous columns, and an
 exact oracle that answers from a ground-truth DAG.  Tests are pure functions
-of (dataset, query) and safe to evaluate concurrently.
+of (dataset, query).
+
+Every chi-square statistic comes from one kernel, ``chi_square_batch``, which
+scores one (x, y) pair against a batch of same-size conditioning sets with a
+single ``np.bincount``; ``chi_square_test`` is that kernel on one set, and
+``chi_square_independent`` turns a statistic into the decision
+``chi2_sf(statistic, dof) > alpha`` without the tail function wherever the
+statistic is clear of the critical value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +28,8 @@ from .tails import chi2_sf, normal_sf
 
 __all__ = [
     "CiTestResult",
+    "chi_square_batch",
+    "chi_square_independent",
     "chi_square_test",
     "fisher_z_test",
     "CiOracle",
@@ -41,22 +51,90 @@ class CiTestResult:
     alpha: float
 
 
-def _crosstab(d: Dataset, x: str, y: str, s: tuple[str, ...]) -> tuple[np.ndarray, int, int]:
-    """Counts with shape (n_strata, arity_x, arity_y); strata are joint levels of s."""
-    for name in (x, y, *s):
-        if d.col(name).kind != CATEGORICAL:
-            raise InputError(f"chi-square test needs categorical columns, {name!r} is not")
-    cx, cy = d.col(x), d.col(y)
-    rx, ry = cx.arity, cy.arity
-    stratum = np.zeros(d.n, dtype=np.int64)
-    n_strata = 1
-    for name in s:
-        c = d.col(name)
-        stratum = stratum * c.arity + c.values
-        n_strata *= c.arity
-    flat = (stratum * rx + cx.values) * ry + cy.values
-    counts = np.bincount(flat, minlength=n_strata * rx * ry)
-    return counts.reshape(n_strata, rx, ry).astype(np.float64), rx, ry
+def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON):
+    """Statistic and dof of x _||_ y | S for each S in a batch of same-size sets.
+
+    ``x`` and ``y`` hold the row codes of the tested pair, of arities ``rx``
+    and ``ry``.  ``members[j]`` holds the row codes of the j-th member of every
+    set, one row per set (shape (B, n), or (n,) for a batch of one), and
+    ``arities`` (shape (B, k)) their arities.  A set's strata are the
+    mixed-radix codes of its members' levels, first member most significant;
+    each set's cells start at their own offset, so one bincount counts the
+    whole batch.  Returns the B statistics (float) and dofs (int), as defined
+    in ``chi_square_test``.
+    """
+    # ufunc methods throughout: their numpy-function wrappers cost more than
+    # the arithmetic on the small arrays of a short walk
+    add, mul = np.add, np.multiply
+    rx, ry = int(rx), int(ry)
+    arities = np.asarray(arities, dtype=np.int64)
+    rxy = rx * ry
+    n_strata = mul.reduce(arities, axis=1)
+    first_stratum = add.accumulate(n_strata) - n_strata
+    total = int(add.reduce(n_strata))
+    # int32 cell codes, where they fit, halve the memory traffic of a batch
+    code = np.int32 if total * rxy < 2**31 else np.int64
+    # cell stride of member j in set b: rx * ry * the arities of the later members
+    place = (rxy * mul.accumulate(arities[:, ::-1], axis=1)[:, ::-1] // arities).astype(code)
+    cell = (first_stratum * rxy).astype(code)[:, None] + (np.asarray(x, dtype=code) * ry + y)
+    for j, codes in enumerate(members):
+        cell += codes * place[:, j, None]
+    counts = np.bincount(cell.ravel(), minlength=total * rxy).reshape(total, rx, ry)
+
+    # margins by matmul: reductions over axes this short are slower
+    row = counts @ np.ones(ry, counts.dtype)  # (strata, rx)
+    col = np.ones(rx, counts.dtype) @ counts  # (strata, ry)
+    tot = add.reduce(col, axis=1)
+    r_eff = add.reduce(row > 0, axis=1)
+    c_eff = add.reduce(col > 0, axis=1)
+    informative = (r_eff >= 2) & (c_eff >= 2)
+    dof = add.reduceat(np.where(informative, (r_eff - 1) * (c_eff - 1), 0), first_stratum)
+
+    # uninformative strata divide by infinity: no expected counts, no terms
+    expected = row[:, :, None] * col[:, None, :] / np.where(informative, tot, np.inf)[:, None, None]
+    mask = expected > 0
+    if variant == PEARSON:
+        diff = np.where(mask, counts - expected, 0.0)
+        terms = diff * diff / np.where(mask, expected, 1.0)
+    else:
+        pos = mask & (counts > 0)
+        ratio = np.where(pos, counts / np.where(pos, expected, 1.0), 1.0)
+        terms = 2.0 * counts * np.where(pos, np.log(ratio), 0.0)
+    return add.reduceat(terms.ravel(), first_stratum * rxy), dof
+
+
+@lru_cache(maxsize=4096)
+def _critical_band(dof: int, alpha: float) -> tuple[float, float]:
+    """(lo, hi) about the statistic at which chi2_sf(., dof) falls to alpha.
+
+    Bisection brackets the crossing to 1e-7 of its value, and the bracket is
+    widened by 4e-7 of it on each side.  Outside the band the tail differs
+    from alpha by far more than chi2_sf's rounding, so chi2_sf(s, dof) > alpha
+    holds for every s <= lo and fails for every s >= hi.
+    """
+    lo, hi = 0.0, float(dof)
+    while chi2_sf(hi, dof) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-7 * hi:
+        mid = 0.5 * (lo + hi)
+        if chi2_sf(mid, dof) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return lo - 4e-7 * hi, hi + 4e-7 * hi
+
+
+def chi_square_independent(statistic: float, dof: int, alpha: float) -> bool:
+    """``chi2_sf(statistic, dof) > alpha``, with zero dof independent; the
+    tail function runs only for a statistic inside the critical band."""
+    if dof == 0:
+        return True
+    lo, hi = _critical_band(dof, alpha)
+    if statistic <= lo:
+        return True
+    if statistic >= hi:
+        return False
+    return chi2_sf(statistic, dof) > alpha
 
 
 def chi_square_test(
@@ -85,29 +163,17 @@ def chi_square_test(
         raise InputError("empty dataset")
     if variant not in (PEARSON, GSQUARED):
         raise InputError(f"unknown chi-square variant {variant!r}")
-    counts, _, _ = _crosstab(d, x, y, s)
-
-    row = counts.sum(axis=2)  # (strata, rx)
-    col = counts.sum(axis=1)  # (strata, ry)
-    tot = counts.sum(axis=(1, 2))  # (strata,)
-    r_eff = (row > 0).sum(axis=1)
-    c_eff = (col > 0).sum(axis=1)
-    informative = (r_eff >= 2) & (c_eff >= 2)
-    dof = int(((r_eff - 1) * (c_eff - 1))[informative].sum())
+    for name in (x, y, *s):
+        if d.col(name).kind != CATEGORICAL:
+            raise InputError(f"chi-square test needs categorical columns, {name!r} is not")
+    cx, cy, cs = d.col(x), d.col(y), [d.col(name) for name in s]
+    stats, dofs = chi_square_batch(
+        cx.values, cx.arity, cy.values, cy.arity,
+        [c.values for c in cs], [[c.arity for c in cs]], variant,
+    )
+    statistic, dof = float(stats[0]), int(dofs[0])
     if dof == 0:
         return CiTestResult(0.0, 0, 1.0, True, alpha)
-
-    safe_tot = np.where(tot > 0, tot, 1.0)
-    expected = row[:, :, None] * col[:, None, :] / safe_tot[:, None, None]
-    expected[~informative] = 0.0
-    mask = expected > 0
-    if variant == PEARSON:
-        diff = np.where(mask, counts - expected, 0.0)
-        statistic = float((diff * diff / np.where(mask, expected, 1.0)).sum())
-    else:
-        pos = mask & (counts > 0)
-        ratio = np.where(pos, counts / np.where(pos, expected, 1.0), 1.0)
-        statistic = float(2.0 * (counts * np.where(pos, np.log(ratio), 0.0)).sum())
     p = chi2_sf(statistic, dof)
     return CiTestResult(statistic, dof, p, p > alpha, alpha)
 

@@ -20,7 +20,15 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data import Dataset, parse_schema, read_csv, schema_text, write_csv
+from .data import (
+    Dataset,
+    parse_schema,
+    read_csv,
+    read_text,
+    schema_text,
+    write_csv,
+    write_text,
+)
 from .errors import InputError, KnowledgeInconsistencyError, PagauditError
 from .fci import FciConfig, fci_run, parse_knowledge
 from .graph import BackgroundKnowledge, MixedGraph, from_json, to_dot, to_json
@@ -71,7 +79,7 @@ def _write_manifest(command: str, params: dict, inputs: list[Path], outputs: lis
     }
     first_out = outputs[0]
     path = Path(str(first_out) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -82,7 +90,7 @@ def _load_dataset(data: str, schema: str | None) -> tuple[Dataset, list[Path]]:
     schema_path = Path(schema) if schema else Path(str(data_path) + ".schema")
     if not schema_path.exists():
         raise InputError(f"schema file not found: {schema_path}")
-    schema_map = parse_schema(schema_path.read_text(encoding="utf-8"))
+    schema_map = parse_schema(read_text(schema_path))
     return read_csv(data_path, schema_map), [data_path, schema_path]
 
 
@@ -92,7 +100,7 @@ def _load_knowledge(knowledge: str | None, names) -> tuple[BackgroundKnowledge |
     kpath = Path(knowledge)
     if not kpath.exists():
         raise InputError(f"knowledge file not found: {knowledge}")
-    return parse_knowledge(kpath.read_text(encoding="utf-8"), names), [kpath]
+    return parse_knowledge(read_text(kpath), names), [kpath]
 
 
 def _graph_text(g: MixedGraph, fmt: str) -> str:
@@ -115,7 +123,7 @@ def cmd_simulate(params: dict) -> None:
     d = simulate(n, seed, include_c=include_c, mode=mode)
     write_csv(d, out)
     schema_path = Path(str(out) + ".schema")
-    schema_path.write_text(schema_text(d), encoding="utf-8")
+    write_text(schema_path, schema_text(d))
     _write_manifest("simulate", params, [], [out, schema_path])
     print(f"wrote {d.n} rows x {len(d.names)} columns to {out}")
 
@@ -131,12 +139,10 @@ def cmd_discover(params: dict) -> None:
     )
     result = fci_run(d, knowledge=knowledge, cfg=cfg, target=params.get("target"))
     out = Path(params["out"])
-    out.write_text(_graph_text(result.graph, params["format"]), encoding="utf-8")
+    write_text(out, _graph_text(result.graph, params["format"]))
     diag_path = Path(str(out) + ".diagnostics.json")
-    diag_path.write_text(
-        json.dumps(asdict(result.diagnostics), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    diagnostics = json.dumps(asdict(result.diagnostics), indent=2, sort_keys=True)
+    write_text(diag_path, diagnostics + "\n")
     _write_manifest("discover", params, inputs + kinputs, [out, diag_path])
     print(f"learned graph with {result.graph.n_edges} edges -> {out}")
 
@@ -161,8 +167,8 @@ def cmd_stability(params: dict) -> None:
     prefix = Path(params["out"])
     json_path = Path(str(prefix) + ".json")
     csv_path = Path(str(prefix) + ".csv")
-    json_path.write_text(report.to_json(), encoding="utf-8")
-    csv_path.write_text(report.to_csv(), encoding="utf-8")
+    write_text(json_path, report.to_json())
+    write_text(csv_path, report.to_csv())
     _write_manifest("stability", params, inputs + kinputs, [json_path, csv_path])
     print(
         f"{report.successes}/{report.replicates} replicates succeeded; "
@@ -179,7 +185,7 @@ def cmd_oracle(params: dict) -> None:
         tpath = Path(truth_spec)
         if not tpath.exists():
             raise InputError(f"truth graph not found: {truth_spec}")
-        truth = from_json(tpath.read_text(encoding="utf-8"))
+        truth = from_json(read_text(tpath))
         inputs.append(tpath)
     observed = [s for s in params["observe"].split(",") if s]
     if len(observed) < 2:
@@ -189,7 +195,7 @@ def cmd_oracle(params: dict) -> None:
     cfg = FciConfig(alpha=0.05, max_cond_size=params["max_cond_size"], test="oracle")
     result = fci_run(oracle, knowledge=knowledge, cfg=cfg, target=params.get("target"))
     out = Path(params["out"])
-    out.write_text(_graph_text(result.graph, params["format"]), encoding="utf-8")
+    write_text(out, _graph_text(result.graph, params["format"]))
     _write_manifest("oracle", params, inputs + kinputs, [out])
     print(f"oracle graph with {result.graph.n_edges} edges -> {out}")
 
@@ -207,7 +213,7 @@ def cmd_rerun(manifest_path: str) -> None:
     if not path.exists():
         raise InputError(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(read_text(path))
         command = manifest["command"]
         params = manifest["parameters"]
     except (json.JSONDecodeError, KeyError) as exc:

@@ -16,7 +16,15 @@ import numpy as np
 
 from .errors import InputError, SchemaError
 
-__all__ = ["Column", "Dataset", "parse_schema", "read_csv", "write_csv"]
+__all__ = [
+    "Column",
+    "Dataset",
+    "parse_schema",
+    "read_csv",
+    "read_text",
+    "write_csv",
+    "write_text",
+]
 
 CATEGORICAL = "cat"
 CONTINUOUS = "cont"
@@ -140,10 +148,30 @@ def parse_schema(text: str) -> dict[str, tuple[str, int | None]]:
     return schema
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; a path that cannot be read or decoded is an
+    InputError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write UTF-8 text; a path that cannot be written is an InputError naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def read_csv(path: str | Path, schema: dict[str, tuple[str, int | None]]) -> Dataset:
     """Load a header-first CSV under the given schema."""
-    text = Path(path).read_text(encoding="utf-8")
-    return read_csv_text(text, schema, source=str(path))
+    return read_csv_text(read_text(path), schema, source=str(path))
 
 
 def read_csv_text(
@@ -184,7 +212,11 @@ def read_csv_text(
 
 def write_csv(d: Dataset, path: str | Path) -> None:
     """Write the dataset with a header row; categorical cells as integers."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(d.names)
         cols = [c.values for c in d.columns]

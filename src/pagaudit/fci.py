@@ -14,7 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .citests import GSQUARED, PEARSON, CiOracle, chi_square_test, fisher_z_test, oracle_test
+import numpy as np
+
+# chi_square_test is not called here, but stays importable as
+# pagaudit.fci.chi_square_test, the name the benchmark's tracer wraps
+from .citests import (  # noqa: F401
+    GSQUARED,
+    PEARSON,
+    CiOracle,
+    chi_square_batch,
+    chi_square_independent,
+    chi_square_test,
+    fisher_z_test,
+    oracle_test,
+)
 from .data import CATEGORICAL, CONTINUOUS, Dataset
 from .errors import (
     InputError,
@@ -116,11 +129,19 @@ class SepSetMap:
         }
 
 
+# Batch sizes count rows x sets: a walk's first batch holds about _BATCH_START,
+# each later one four times the last, up to _BATCH_CAP, which also bounds the
+# cells of one kernel call.
+_BATCH_START = 1 << 14
+_BATCH_CAP = 1 << 17
+
+
 class CiTester:
     """Caching adapter from (x, y, S) index queries to a CI decision.
 
     Wraps a dataset-backed test or an oracle, chosen once at construction;
-    counts evaluations, cache hits and zero-dof (uninformative) results.
+    counts evaluations, cache hits and zero-dof (uninformative) results.  A
+    query's cache key is one integer: the bitmask of S above the pair.
     """
 
     def __init__(
@@ -131,45 +152,91 @@ class CiTester:
     ):
         self.cfg = cfg
         self.diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-        self._cache: dict[tuple[int, int, frozenset[int]], bool] = {}
+        self._cache: dict[int, bool] = {}
         if isinstance(source, CiOracle):
             self.names = tuple(source.observed)
         elif isinstance(source, Dataset):
             self.names = tuple(source.names)
         else:
             raise InputError(f"cannot test on source of type {type(source).__name__}")
-        self._decide = _decider(source, cfg, self.diagnostics)
+        self._bits = len(self.names).bit_length()
+        self._decide, rows = _decider(source, cfg)
+        self._first_batch = max(1, _BATCH_START // rows) if rows else 1
+        self._max_batch = max(1, _BATCH_CAP // rows) if rows else 1
 
     def __call__(self, x: int, y: int, s: tuple[int, ...]) -> bool:
-        key = (x, y, frozenset(s)) if x < y else (y, x, frozenset(s))
-        hit = self._cache.get(key)
-        if hit is not None:
-            self.diagnostics.cache_hits += 1
-            return hit
-        self.diagnostics.tests_run += 1
+        return self.first_independent(x, y, (tuple(s),)) is not None
+
+    def first_independent(self, x: int, y: int, subsets):
+        """The first set S, in the order given, with x _||_ y | S, or None.
+
+        Sets are looked up in the cache in order; the uncached ones are
+        evaluated in batches of growing size, then resolved in order.  The
+        walk stops at the first independence: the counters and the cache see
+        exactly the sets up to it, as in a one-at-a-time walk, and results
+        computed past it are dropped.
+        """
+        diag = self.diagnostics
+        shift = 2 * self._bits
+        pair = (x << self._bits | y) if x < y else (y << self._bits | x)
+        size = self._first_batch
+        subsets = iter(subsets)
+        while True:
+            block, pending = [], []
+            for s in subsets:
+                key = pair
+                for v in s:
+                    key |= 1 << (v + shift)
+                known = self._cache.get(key)
+                block.append((s, key, known))
+                if known is None:
+                    pending.append(s)
+                    if len(pending) == size:
+                        break
+                elif known:
+                    break
+            if not block:
+                return None
+            results = iter(self._evaluate(x, y, pending) if pending else ())
+            for s, key, known in block:
+                if known is None:
+                    known, uninformative = next(results)
+                    diag.tests_run += 1
+                    diag.dof_zero_warnings += uninformative
+                    self._cache[key] = known
+                else:
+                    diag.cache_hits += 1
+                if known:
+                    return s
+            size = min(4 * size, self._max_batch)
+
+    def _evaluate(self, x: int, y: int, subsets: list) -> list[tuple[bool, bool]]:
         try:
-            independent = self._decide(
-                self.names[x], self.names[y], tuple(self.names[v] for v in s)
-            )
+            return self._decide(x, y, subsets)
         except Exception as exc:
-            query = f"{self.names[x]} _||_ {self.names[y]} | {sorted(self.names[v] for v in s)}"
+            names = self.names
+            query = f"{names[x]} _||_ {names[y]} | {sorted(names[v] for v in subsets[0])}"
+            if len(subsets) > 1:
+                query += f" (or one of the {len(subsets) - 1} sets after it)"
             try:
                 wrapped = type(exc)(f"{exc} [while testing {query}]")
             except TypeError:
                 raise
             raise wrapped from exc
-        self._cache[key] = independent
-        return independent
 
 
-def _decider(source: Dataset | CiOracle, cfg: FciConfig, diag: Diagnostics):
-    """The CI decision on (x, y, S) names for this source and test selector.
+def _decider(source: Dataset | CiOracle, cfg: FciConfig):
+    """The CI decision for this source and test selector, and its batch rows.
 
-    An oracle source always uses the oracle; ``auto`` picks chi-square for
+    The decision maps indices (x, y, [S, ...]) to one (independent,
+    uninformative) pair per set.  Chi-square scores a batch in one kernel
+    call and returns the dataset's row count, by which the tester sizes its
+    batches; the other tests go one set at a time (rows None).  An oracle
+    source always uses the oracle; ``auto`` picks chi-square for
     all-categorical data and Fisher-z for all-continuous data.
     """
     if isinstance(source, CiOracle):
-        return lambda x, y, s: oracle_test(source, x, y, s)
+        return _one_at_a_time(source.observed, lambda x, y, s: oracle_test(source, x, y, s)), None
     test = cfg.test
     if test == "oracle":
         raise InputError("oracle test selected but source is a dataset")
@@ -182,16 +249,68 @@ def _decider(source: Dataset | CiOracle, cfg: FciConfig, diag: Diagnostics):
         else:
             raise InputError("mixed column kinds: choose the test explicitly")
     if test == "fisherz":
-        return lambda x, y, s: fisher_z_test(source, x, y, s, cfg.alpha).independent
+        return _one_at_a_time(
+            source.names, lambda x, y, s: fisher_z_test(source, x, y, s, cfg.alpha).independent
+        ), None
     variant = GSQUARED if test == "g2" else PEARSON
+    return _chi_square_decider(source, variant, cfg.alpha), source.n
 
-    def chi2(x: str, y: str, s: tuple[str, ...]) -> bool:
-        result = chi_square_test(source, x, y, s, cfg.alpha, variant)
-        if result.dof == 0:
-            diag.dof_zero_warnings += 1
-        return result.independent
 
-    return chi2
+def _one_at_a_time(names, test):
+    """Batch decisions from a test on (x, y, S) names."""
+    names = tuple(names)
+
+    def decide(x: int, y: int, subsets: list) -> list[tuple[bool, bool]]:
+        return [(test(names[x], names[y], tuple(names[v] for v in s)), False) for s in subsets]
+
+    return decide
+
+
+def _chi_square_decider(d: Dataset, variant: str, alpha: float):
+    """Batch chi-square decisions on the dataset's columns, coded once in the
+    smallest unsigned type; a batch is split into kernel calls of at most
+    _BATCH_CAP cells."""
+    for c in d.columns:
+        if c.kind != CATEGORICAL:
+            raise InputError(f"chi-square test needs categorical columns, {c.name!r} is not")
+    if d.n == 0:
+        raise InputError("empty dataset")
+    arity = np.array([c.arity for c in d.columns], dtype=np.int64)
+    codes = np.empty((len(arity), d.n), dtype=np.min_scalar_type(arity.max() - 1))
+    for i, c in enumerate(d.columns):
+        codes[i] = c.values
+
+    def decide(x: int, y: int, subsets: list) -> list[tuple[bool, bool]]:
+        sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
+        set_arity = arity[sets]
+        cells = np.cumsum(arity[x] * arity[y] * set_arity.prod(axis=1))
+        out = []
+        start = 0
+        while start < len(sets):
+            room = _BATCH_CAP + (cells[start - 1] if start else 0)
+            stop = max(start + 1, int(np.searchsorted(cells, room, side="right")))
+            chunk = sets[start:stop]
+            stats, dofs = chi_square_batch(
+                codes[x], arity[x], codes[y], arity[y],
+                [codes[chunk[:, j]] for j in range(chunk.shape[1])],
+                set_arity[start:stop], variant,
+            )
+            out += [
+                (chi_square_independent(stat, dof, alpha), dof == 0)
+                for stat, dof in zip(stats.tolist(), dofs.tolist())
+            ]
+            start = stop
+        return out
+
+    return decide
+
+
+def _first_independent(test, x: int, y: int, subsets):
+    """``test.first_independent`` of a CiTester; any other callable test is
+    asked one set at a time."""
+    if isinstance(test, CiTester):
+        return test.first_independent(x, y, subsets)
+    return next((s for s in subsets if test(x, y, s)), None)
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -256,11 +375,10 @@ def skeleton_search(
                 others = [v for v in g.neighbors(x) if v != y]
                 if len(others) < depth:
                     continue
-                for s in combinations(others, depth):
-                    if test(x, y, s):
-                        g.remove_edge(x, y)
-                        seps.set(x, y, s)
-                        break
+                s = _first_independent(test, x, y, combinations(others, depth))
+                if s is not None:
+                    g.remove_edge(x, y)
+                    seps.set(x, y, s)
         depth += 1
     diag.stage_edge_counts.setdefault("post_skeleton", g.n_edges)
     return g, seps
@@ -372,15 +490,11 @@ def possible_dsep_prune(
             limit = len(candidates)
             if cfg.max_cond_size is not None:
                 limit = min(limit, cfg.max_cond_size)
-            removed = False
             for k in range(limit + 1):
-                for s in combinations(candidates, k):
-                    if test(x, y, s):
-                        work.remove_edge(x, y)
-                        sepsets.set(x, y, s)
-                        removed = True
-                        break
-                if removed:
+                s = _first_independent(test, x, y, combinations(candidates, k))
+                if s is not None:
+                    work.remove_edge(x, y)
+                    sepsets.set(x, y, s)
                     break
     _reset_marks(work)
     diag.stage_edge_counts.setdefault("post_possible_dsep", work.n_edges)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from pagaudit.data import Column, Dataset
 from pagaudit.graph import GraphKind, Mark, MixedGraph
 
 ARROW, TAIL, CIRCLE = Mark.ARROW, Mark.TAIL, Mark.CIRCLE
@@ -366,3 +367,64 @@ def build_dag(nodes, edges):
     for a, b in edges:
         g.add_directed_edge(a, b)
     return g
+
+
+
+# -- chi-square reference --------------------------------------------------------
+
+
+def scipy_stratified_chi2(columns, arities, x, y, s, variant="pearson"):
+    """Stratified chi-square of x against y given s, by scipy, one stratum at a time.
+
+    Each stratum drops its empty rows and columns; one left with at least two
+    of each adds ``chi2_contingency(correction=False)`` and its dof.  Returns
+    (statistic, dof).
+    """
+    from scipy.stats import chi2_contingency
+
+    lam = None if variant == "pearson" else "log-likelihood"
+    levels = [range(arities[v]) for v in s]
+    statistic, dof = 0.0, 0
+    for stratum in itertools.product(*levels):
+        rows = np.ones(len(columns[x]), dtype=bool)
+        for v, level in zip(s, stratum):
+            rows &= columns[v] == level
+        table = np.zeros((arities[x], arities[y]))
+        np.add.at(table, (columns[x][rows], columns[y][rows]), 1)
+        table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+        if min(table.shape) >= 2:
+            res = chi2_contingency(table, correction=False, lambda_=lam)
+            statistic += float(res.statistic)
+            dof += int(res.dof)
+    return statistic, dof
+
+
+# -- protocol-scale stand-in ----------------------------------------------------
+
+
+def bird_like_standin(n=1500, seed=5):
+    """26 ordinal attribute columns plus a 9-class prediction column.
+
+    Bootstrap resampling inflates the chi-square statistic of every pair (the
+    replicate statistic concentrates around the original sample's value), so
+    the stand-in keeps attribute arities low and the row count moderate; the
+    column shape matches the published protocol exactly.
+    """
+    rng = np.random.default_rng(seed)
+    arities = [3 if i < 4 else 2 for i in range(26)]
+    feats = [rng.integers(0, a, n) for a in arities]
+    # a few attribute-attribute dependencies
+    feats[4] = np.minimum(feats[0] + rng.integers(0, 2, n), arities[4] - 1)
+    feats[9] = (feats[1] + rng.integers(0, 2, n)) % arities[9]
+    # the prediction tracks four attributes strongly
+    logits = np.zeros((n, 9))
+    for j, f in enumerate((0, 1, 2, 3)):
+        for k in range(9):
+            logits[:, k] += ((feats[f] + j) % 3 == k % 3) * 3.0
+    logits += rng.gumbel(size=(n, 9))
+    target = logits.argmax(axis=1)
+    cols = [
+        Column(f"attr{i:02d}", "cat", feats[i], arities[i]) for i in range(26)
+    ]
+    cols.append(Column("label", "cat", target, 9))
+    return Dataset(cols)

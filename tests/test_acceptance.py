@@ -21,6 +21,7 @@ import pytest
 
 from helpers import (
     CURATED_RULE_CASES,
+    bird_like_standin,
     build_dag,
     class_pag,
     exactly_independent,
@@ -371,34 +372,6 @@ def test_criterion_7_determinism_and_serialization(tmp_path):
     )
 
 
-def _bird_like_standin(n=1500, seed=5):
-    """26 ordinal attribute columns plus a 9-class prediction column.
-
-    Bootstrap resampling inflates the chi-square statistic of every pair (the
-    replicate statistic concentrates around the original sample's value), so
-    the stand-in keeps attribute arities low and the row count moderate; the
-    column shape matches the published protocol exactly.
-    """
-    rng = np.random.default_rng(seed)
-    arities = [3 if i < 4 else 2 for i in range(26)]
-    feats = [rng.integers(0, a, n) for a in arities]
-    # a few attribute-attribute dependencies
-    feats[4] = np.minimum(feats[0] + rng.integers(0, 2, n), arities[4] - 1)
-    feats[9] = (feats[1] + rng.integers(0, 2, n)) % arities[9]
-    # the prediction tracks four attributes strongly
-    logits = np.zeros((n, 9))
-    for j, f in enumerate((0, 1, 2, 3)):
-        for k in range(9):
-            logits[:, k] += ((feats[f] + j) % 3 == k % 3) * 3.0
-    logits += rng.gumbel(size=(n, 9))
-    target = logits.argmax(axis=1)
-    cols = [
-        Column(f"attr{i:02d}", "cat", feats[i], arities[i]) for i in range(26)
-    ]
-    cols.append(Column("label", "cat", target, 9))
-    return Dataset(cols)
-
-
 def _xray_like_standin(n=239, seed=6):
     """Seven binary findings plus a binary prediction column."""
     rng = np.random.default_rng(seed)
@@ -424,7 +397,7 @@ def test_criterion_8_protocol_scale(tmp_path):
     start = time.monotonic()
     problems = []
     # 27-column run: alpha .05, chi-square, max conditioning size 4, 50 replicates
-    bird = _bird_like_standin()
+    bird = bird_like_standin()
     bird_csv = tmp_path / "bird.csv"
     write_csv(bird, bird_csv)
     Path(str(bird_csv) + ".schema").write_text(schema_text(bird))

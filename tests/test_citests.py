@@ -2,13 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import scipy_stratified_chi2
 from pagaudit.citests import (
+    GSQUARED,
+    PEARSON,
     CiOracle,
+    chi_square_batch,
+    chi_square_independent,
     chi_square_test,
     fisher_z_test,
     oracle_test,
 )
+from pagaudit.tails import chi2_sf
 from pagaudit.data import Column, Dataset
 from pagaudit.errors import DegenerateInputError, InputError
 from pagaudit.simgen import sample_dataset, truth_dag
@@ -284,3 +292,69 @@ def test_results_deterministic():
     a = chi_square_test(d, "H", "R", ("C",), 0.05)
     b = chi_square_test(d, "H", "R", ("C",), 0.05)
     assert a == b
+
+
+# -- batch kernel ------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 60),
+    arities=st.lists(st.integers(1, 4), min_size=3, max_size=6),
+    constant=st.integers(0, 63),
+    k=st.integers(0, 3),
+    variant=st.sampled_from([PEARSON, GSQUARED]),
+    alpha=st.sampled_from([0.01, 0.05, 0.5, 0.95]),
+)
+def test_batch_kernel_matches_single_sets_and_scipy(
+    seed, n, arities, constant, k, variant, alpha
+):
+    # column i is constant when bit i of ``constant`` is set; small n leaves
+    # strata empty
+    rng = np.random.default_rng(seed)
+    columns = [
+        np.zeros(n, dtype=np.int64) if constant >> i & 1 else rng.integers(0, a, n)
+        for i, a in enumerate(arities)
+    ]
+    names = [f"c{i}" for i in range(len(arities))]
+    d = Dataset([Column(nm, "cat", v, a) for nm, v, a in zip(names, columns, arities)])
+    k = min(k, len(arities) - 2)
+    sets = list(itertools.combinations(range(2, len(arities)), k))
+    stats, dofs = chi_square_batch(
+        columns[0], arities[0], columns[1], arities[1],
+        [np.stack([columns[s[j]] for s in sets]) for j in range(k)],
+        [[arities[v] for v in s] for s in sets], variant,
+    )
+    assert len(stats) == len(dofs) == len(sets)
+    for s, stat, dof in zip(sets, stats.tolist(), dofs.tolist()):
+        single = chi_square_test(d, "c0", "c1", [names[v] for v in s], alpha, variant)
+        assert dof == single.dof
+        assert chi_square_independent(stat, dof, alpha) == single.independent
+        assert stat == pytest.approx(single.statistic, rel=1e-12, abs=0.0)
+        ref_stat, ref_dof = scipy_stratified_chi2(columns, arities, 0, 1, s, variant)
+        assert dof == ref_dof
+        assert stat == pytest.approx(ref_stat, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.99])
+@pytest.mark.parametrize("dof", [1, 2, 3, 7, 40, 300])
+def test_independence_decision_equals_the_tail_comparison(dof, alpha):
+    # a grid across the critical value and a dense sweep through its band
+    lo, hi = 0.0, 10.0 * dof + 100.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if chi2_sf(mid, dof) > alpha else (lo, mid)
+    crit = lo
+    grid = np.concatenate(
+        [
+            crit * np.linspace(0.0, 2.0, 201),
+            crit * (1.0 + np.linspace(-2e-6, 2e-6, 401)),
+            np.nextafter(crit, [0.0, np.inf]),
+            [crit],
+        ]
+    )
+    for stat in grid.tolist():
+        assert chi_square_independent(stat, dof, alpha) == (chi2_sf(stat, dof) > alpha)
+    assert chi_square_independent(123.0, 0, alpha)
+

@@ -132,6 +132,32 @@ def test_discover_missing_files_exit_2(tmp_path):
     )
 
 
+def test_discover_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    data = _simulated(tmp_path, n=300)
+    out = tmp_path / "missing" / "dir" / "x.dot"
+    assert run(["discover", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): ") and str(out) in err
+
+
+def test_discover_data_directory_exits_2_naming_the_path(tmp_path, capsys):
+    folder = tmp_path / "data.csv"
+    folder.mkdir()
+    Path(str(folder) + ".schema").write_text("H:cat:2\nV:cat:2\n")
+    assert run(["discover", "--data", str(folder), "--out", str(tmp_path / "x.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): ") and str(folder) in err
+
+
+def test_discover_non_utf8_csv_exits_2_naming_the_path(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes("H,V\n0,1\n1,0\n# caf\xe9\n".encode("latin-1"))
+    Path(str(bad) + ".schema").write_text("H:cat:2\nV:cat:2\n")
+    assert run(["discover", "--data", str(bad), "--out", str(tmp_path / "x.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): ") and str(bad) in err and "UTF-8" in err
+
+
 def test_stability_cli_outputs_and_thread_invariance(tmp_path):
     data = _simulated(tmp_path, n=2000, seed=4)
     out1 = tmp_path / "rep1"

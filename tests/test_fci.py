@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CURATED_RULE_CASES,
@@ -14,7 +16,7 @@ from helpers import (
     separated_by_paths,
 )
 from pagaudit import fci as fci_module
-from pagaudit.citests import GSQUARED, PEARSON, CiOracle, CiTestResult
+from pagaudit.citests import GSQUARED, PEARSON, CiOracle, CiTestResult, chi_square_test
 from pagaudit.data import Column, Dataset
 from pagaudit.errors import (
     InputError,
@@ -150,6 +152,61 @@ def test_test_errors_carry_the_query():
     assert isinstance(err.value.__cause__, ValueError)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.one_of(st.integers(1, 40), st.integers(2_000, 9_000)),
+    arities=st.lists(st.integers(1, 3), min_size=4, max_size=8),
+    k=st.integers(0, 4),
+    warm=st.integers(0, 40),
+    alpha=st.sampled_from([0.05, 0.5, 0.95]),
+)
+def test_first_independent_matches_a_one_at_a_time_walk(seed, n, arities, k, warm, alpha):
+    # a chain of noisy copies keeps some pairs dependent; arity-1 columns are
+    # constant and give zero-dof answers; n >= 2000 spreads a walk over
+    # several growing batches
+    rng = np.random.default_rng(seed)
+    columns = [rng.integers(0, arities[0], n)]
+    for a in arities[1:]:
+        noisy = rng.random(n) < 0.3
+        columns.append(np.where(noisy, rng.integers(0, a, n), columns[-1] % a))
+    names = [f"c{i}" for i in range(len(arities))]
+    d = Dataset([Column(nm, "cat", v, a) for nm, v, a in zip(names, columns, arities)])
+    batched = CiTester(d, FciConfig(alpha=alpha, test="chi2"))
+
+    # the reference: a plain callable with a frozenset-keyed cache, one query at a time
+    cache, counts = {}, {"tests_run": 0, "cache_hits": 0, "dof_zero_warnings": 0}
+
+    def plain(x, y, s):
+        key = (min(x, y), max(x, y), frozenset(s))
+        if key in cache:
+            counts["cache_hits"] += 1
+            return cache[key]
+        counts["tests_run"] += 1
+        result = chi_square_test(d, names[x], names[y], [names[v] for v in s], alpha)
+        counts["dof_zero_warnings"] += result.dof == 0
+        cache[key] = result.independent
+        return result.independent
+
+    # the same cached answers in both, asked in both orientations of the pair
+    m = len(arities)
+    for _ in range(warm):
+        x, y = (int(v) for v in rng.choice(m, size=2, replace=False))
+        rest = [v for v in range(m) if v not in (x, y)]
+        s = tuple(sorted(int(v) for v in rng.choice(rest, size=rng.integers(0, 3), replace=False)))
+        batched(x, y, s)
+        plain(y, x, s)
+    x, y = (int(v) for v in rng.choice(m, size=2, replace=False))
+    others = [v for v in range(m) if v not in (x, y)]
+    subsets = list(itertools.combinations(others, min(k, len(others))))
+
+    got = batched.first_independent(x, y, iter(subsets))
+    assert got == fci_module._first_independent(plain, x, y, iter(subsets))
+    diag = batched.diagnostics
+    assert (diag.tests_run, diag.cache_hits, diag.dof_zero_warnings) == tuple(counts.values())
+    assert len(batched._cache) == len(cache)  # nothing cached past the stop
+
+
 @pytest.mark.parametrize(
     "kind, selector, expected",
     [
@@ -164,15 +221,15 @@ def test_tester_runs_the_selected_test(monkeypatch, kind, selector, expected):
     calls = []
     independent = CiTestResult(0.0, 1, 1.0, True, 0.05)
 
-    def chi2(d, x, y, s, alpha, variant):
+    def chi2(x, rx, y, ry, members, arities, variant):
         calls.append(("chi2", variant))
-        return independent
+        return np.zeros(len(arities)), np.ones(len(arities), dtype=np.int64)
 
     def fisherz(d, x, y, s, alpha):
         calls.append(("fisherz",))
         return independent
 
-    monkeypatch.setattr(fci_module, "chi_square_test", chi2)
+    monkeypatch.setattr(fci_module, "chi_square_batch", chi2)
     monkeypatch.setattr(fci_module, "fisher_z_test", fisherz)
     arity = 2 if kind == "cat" else None
     d = Dataset([Column(name, kind, np.array([0, 1, 0, 1]), arity) for name in "ab"])

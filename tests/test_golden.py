@@ -13,10 +13,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from helpers import bird_like_standin
 from pagaudit import cli
 from pagaudit.data import read_csv_text
 from pagaudit.fci import FciConfig, fci_run
 from pagaudit.graph import to_json
+from pagaudit.stability import bootstrap_replicate
 
 GOLDEN = {
     "simulate.csv": "76c9740bcfe20843895a49ef76a91e167e464098774e5338f04e4ad0a75c0f30",
@@ -41,6 +43,17 @@ GOLDEN = {
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def fci_digests(result) -> dict[str, str]:
+    """Digests of one FCI run's graph JSON, separating sets and diagnostics."""
+    sepsets = [[i, j, sorted(e.nodes), e.from_knowledge] for (i, j), e in result.sepsets.items()]
+    diag = json.dumps(asdict(result.diagnostics), sort_keys=True)
+    return {
+        "graph": sha256(to_json(result.graph).encode()),
+        "sepsets": sha256(json.dumps(sepsets).encode()),
+        "diagnostics": sha256(diag.encode()),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +84,37 @@ def outputs(tmp_path_factory):
     y = 0.9 * z + rng.normal(size=600)
     text = "\n".join(["x,z,y"] + [f"{a:.6f},{b:.6f},{c:.6f}" for a, b, c in zip(x, z, y)])
     d = read_csv_text(text + "\n", {"x": ("cont", None), "z": ("cont", None), "y": ("cont", None)})
-    result = fci_run(d, cfg=FciConfig(test="fisherz"))
-    got["fisherz.graph"] = sha256(to_json(result.graph).encode())
-    diag = json.dumps(asdict(result.diagnostics), sort_keys=True)
-    got["fisherz.diagnostics"] = sha256(diag.encode())
+    fisherz = fci_digests(fci_run(d, cfg=FciConfig(test="fisherz")))
+    got["fisherz.graph"] = fisherz["graph"]
+    got["fisherz.diagnostics"] = fisherz["diagnostics"]
     return got
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_digest(outputs, name):
     assert outputs.get(name) == GOLDEN[name]
+
+
+# Bootstrap replicate 0 (base seed 1) of the 27-column criterion-8 stand-in,
+# arities 2, 3 and 9, with Possible-D-SEP on: mixed arities, PDS walks and
+# symmetric cache hits, which the pinned CLI outputs above do not reach.
+# Captured before the chi-square queries were batched.
+GOLDEN_BIRD27 = {
+    "chi2": {
+        "graph": "9bc418701b92bbe1d78194d1778c985cda594a3c0bfd2b65acdcd32e510dbdae",
+        "sepsets": "3a7674de7ebb5a2cc8ed910fbba3ddc2a526dcfb815c05f03c51b07b007ce71b",
+        "diagnostics": "819d6945cfc9307d8b0d9630adf6a629d10c0f32b279ba38b26fc75d7b9c0fd8",
+    },
+    "g2": {
+        "graph": "50c62773141cb383f4bb539f762a26d4746748eb0cc25c4809d14b96ed009d99",
+        "sepsets": "375b5b02b800b4a13ee81534facc915d77c688e30002139711cf73acc2895201",
+        "diagnostics": "a29e7d8f2b1a3957fdea7b2c92b963e8ddf9e98b31888da7f38934387617d291",
+    },
+}
+
+
+@pytest.mark.parametrize("test", sorted(GOLDEN_BIRD27))
+def test_bird27_replicate_matches_golden_digest(test):
+    rep = bootstrap_replicate(bird_like_standin(), 1, 0)
+    cfg = FciConfig(alpha=0.05, max_cond_size=3, test=test)
+    assert fci_digests(fci_run(rep, cfg=cfg, target="label")) == GOLDEN_BIRD27[test]
