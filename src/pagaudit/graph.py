@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,7 +23,9 @@ __all__ = [
     "Edge",
     "MixedGraph",
     "BackgroundKnowledge",
+    "bayes_ball_separated",
     "d_separated",
+    "directed_masks",
     "m_separated",
     "ancestors",
     "descendants",
@@ -203,40 +204,76 @@ class MixedGraph:
     def same_structure(self, other: "MixedGraph") -> bool:
         return self.names == other.names and self._marks == other._marks
 
-    # -- directed reachability ------------------------------------------------
-
-    def _directed_children(self, i: int) -> list[int]:
-        # j such that i -> j is a definite directed edge (tail at i, arrow at j)
-        out = []
-        for j in sorted(self._adj[i]):
-            if self.mark_at(i, j) is Mark.TAIL and self.mark_at(j, i) is Mark.ARROW:
-                out.append(j)
-        return out
-
-    def _directed_parents(self, i: int) -> list[int]:
-        out = []
-        for j in sorted(self._adj[i]):
-            if self.mark_at(j, i) is Mark.TAIL and self.mark_at(i, j) is Mark.ARROW:
-                out.append(j)
-        return out
-
-    def _reach(self, start: set[int], step) -> set[int]:
-        seen = set(start)
-        todo = deque(start)
-        while todo:
-            v = todo.popleft()
-            for w in step(v):
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
     def is_acyclic(self) -> bool:
         """No definite directed cycle (only tail->arrow edges count)."""
-        for i in range(self.n_nodes):
-            if i in self._reach(set(self._directed_children(i)), self._directed_children):
-                return False
-        return True
+        _, children = directed_masks(self)
+        return not any(_closure(children[i], children) >> i & 1 for i in range(self.n_nodes))
+
+
+# -- directed reachability over bitmasks ---------------------------------------
+
+
+def directed_masks(g: MixedGraph) -> tuple[list[int], list[int]]:
+    """Parent and child bitmasks per node over definite tail->arrow edges.
+
+    Bit j of ``parents[i]`` is set iff ``j -> i``; other edges are skipped.
+    """
+    parents = [0] * g.n_nodes
+    children = [0] * g.n_nodes
+    for (i, j), (mi, mj) in g._marks.items():
+        if mi is Mark.TAIL and mj is Mark.ARROW:
+            parents[j] |= 1 << i
+            children[i] |= 1 << j
+        elif mi is Mark.ARROW and mj is Mark.TAIL:
+            parents[i] |= 1 << j
+            children[j] |= 1 << i
+    return parents, children
+
+
+def _union(mask: int, step: list[int]) -> int:
+    """OR of ``step[v]`` over the set bits v of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= step[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _closure(mask: int, step: list[int]) -> int:
+    """``mask`` and every node reachable from it by repeated ``step``."""
+    seen = frontier = mask
+    while frontier:
+        frontier = _union(frontier, step) & ~seen
+        seen |= frontier
+    return seen
+
+
+def bayes_ball_separated(parents: list[int], children: list[int], x: int, y: int, z: int) -> bool:
+    """d-separation of nodes ``x`` and ``y`` given the node bitmask ``z``.
+
+    ``parents`` and ``children`` are the DAG's masks from ``directed_masks``;
+    neither ``x`` nor ``y`` may be in ``z``.  Bayes-ball (Shachter 1998): the
+    ball starts at ``x`` as if passed up from a child.  A node outside ``z``
+    passes a ball from a child on to its parents and children, and a ball
+    from a parent on to its children; a node in ``z`` stops a ball from a
+    child and bounces one from a parent back up to its parents.  The bounce
+    opens a collider with a descendant in ``z``: the ball runs down to that
+    descendant and back up.  Both frontiers advance as masks, and ``y``
+    reached means d-connected.
+    """
+    target = 1 << y
+    up = up_front = 1 << x  # nodes a ball was passed up to, from a child
+    down = down_front = 0  # nodes a ball was passed down to, from a parent
+    while up_front or down_front:
+        free = up_front & ~z
+        up_front = _union(free | down_front & z, parents) & ~up
+        down_front = _union(free | down_front & ~z, children) & ~down
+        if (up_front | down_front) & target:
+            return False
+        up |= up_front
+        down |= down_front
+    return True
 
 
 # -- separation ---------------------------------------------------------------
@@ -257,41 +294,18 @@ def d_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
 
     True iff every path between them is blocked: a non-collider blocks when it
     is in ``z``; a collider blocks unless it or one of its descendants is in
-    ``z``.
+    ``z``.  A graph of kind DAG that fails ``validate`` is rejected.  The
+    parent and child masks are built per call; ``CiOracle`` builds them once
+    for its many queries.
     """
     if g.kind is not GraphKind.DAG:
         raise InputError(f"d_separated requires a DAG, got kind {g.kind.value!r}")
+    problems = validate(g)
+    if problems:
+        raise InputError(f"d_separated requires a valid DAG: {problems[0]}")
     xi, yi, zi = _check_query(g, x, y, z)
-    # Reachability over (node, entry mark) states: a walk continues through v
-    # entered with mark m iff v is a collider there (m and the outgoing mark
-    # are both arrows) with a descendant in z (itself included), or v is a
-    # non-collider outside z.  In a DAG an open walk implies an open path.
-    open_colliders = g._reach(set(zi), g._directed_parents)
-    seen: set[tuple[int, Mark]] = set()
-    todo: deque[tuple[int, Mark]] = deque()
-    for w in g.neighbors(xi):
-        state = (w, g.mark_at(w, xi))
-        if w == yi:
-            return False
-        seen.add(state)
-        todo.append(state)
-    while todo:
-        v, entry = todo.popleft()
-        for w in g.neighbors(v):
-            out = g.mark_at(v, w)
-            if entry is Mark.ARROW and out is Mark.ARROW:
-                passable = v in open_colliders
-            else:
-                passable = v not in zi
-            if not passable:
-                continue
-            state = (w, g.mark_at(w, v))
-            if w == yi:
-                return False
-            if state not in seen:
-                seen.add(state)
-                todo.append(state)
-    return True
+    parents, children = directed_masks(g)
+    return bayes_ball_separated(parents, children, xi, yi, sum(1 << v for v in zi))
 
 
 def m_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
@@ -302,11 +316,12 @@ def m_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
     when in ``z``.
     """
     xi, yi, zi = _check_query(g, x, y, z)
-    open_colliders = g._reach(set(zi), g._directed_parents)
+    open_colliders = _closure(sum(1 << v for v in zi), directed_masks(g)[0])
 
     # Depth-first over simple paths: a walk that revisits a node can enter it
     # through a circle mark and pass it as a non-collider, though every path
-    # through it is blocked, so d_separated's walk search is unsound here.
+    # through it is blocked, so a search over (node, entry mark) states is
+    # unsound here.
     def open_path(prev: int, v: int, on_path: set[int]) -> bool:
         if v == yi:
             return True
@@ -315,7 +330,7 @@ def m_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
             if w in on_path:
                 continue
             collider = entry is Mark.ARROW and g.mark_at(v, w) is Mark.ARROW
-            if not (v in open_colliders if collider else v not in zi):
+            if not (open_colliders >> v & 1 if collider else v not in zi):
                 continue
             if open_path(v, w, on_path | {w}):
                 return True
@@ -324,14 +339,8 @@ def m_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
     return not any(open_path(xi, w, {xi, w}) for w in g.neighbors(xi))
 
 
-def descendants_indices(g: MixedGraph, x: str | int) -> set[int]:
-    i = g.index(x)
-    return g._reach(set(g._directed_children(i)), g._directed_children) - {i}
-
-
-def ancestors_indices(g: MixedGraph, x: str | int) -> set[int]:
-    i = g.index(x)
-    return g._reach(set(g._directed_parents(i)), g._directed_parents) - {i}
+def _names(g: MixedGraph, mask: int, but: int) -> set[str]:
+    return {name for v, name in enumerate(g.names) if mask >> v & 1 and v != but}
 
 
 def descendants(g: MixedGraph, x: str | int) -> set[str]:
@@ -339,12 +348,16 @@ def descendants(g: MixedGraph, x: str | int) -> set[str]:
 
     ``x`` itself is excluded.  In a PAG only definite directed edges count.
     """
-    return {g.names[i] for i in descendants_indices(g, x)}
+    i = g.index(x)
+    _, children = directed_masks(g)
+    return _names(g, _closure(children[i], children), i)
 
 
 def ancestors(g: MixedGraph, x: str | int) -> set[str]:
     """Nodes with a definite directed path into ``x`` (``x`` excluded)."""
-    return {g.names[i] for i in ancestors_indices(g, x)}
+    i = g.index(x)
+    parents, _ = directed_masks(g)
+    return _names(g, _closure(parents[i], parents), i)
 
 
 # -- edge classification --------------------------------------------------------

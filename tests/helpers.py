@@ -148,6 +148,25 @@ def random_dag(rng: np.random.Generator, n: int, p_edge: float = 0.5) -> MixedGr
     return g
 
 
+def random_latent_dag(seed: int, n: int = 12, n_edges: int = 20, n_latent: int = 3):
+    """A DAG over X0..X{n-1} with exactly ``n_edges`` edges and ``n_latent``
+    hidden nodes; returns it with the observed names in node order.
+
+    The edges are a uniform draw of node pairs, each directed along one
+    random topological order.
+    """
+    rng = np.random.default_rng([7, seed])
+    names = [f"X{i}" for i in range(n)]
+    order = [int(v) for v in rng.permutation(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    g = MixedGraph(names, GraphKind.DAG)
+    for k in sorted(rng.choice(len(pairs), n_edges, replace=False).tolist()):
+        a, b = pairs[k]
+        g.add_directed_edge(order[a], order[b])
+    latent = set(rng.choice(n, n_latent, replace=False).tolist())
+    return g, tuple(name for i, name in enumerate(names) if i not in latent)
+
+
 # -- population premise of the simulation -----------------------------------------
 
 

@@ -19,6 +19,7 @@ from pagaudit.citests import (
 from pagaudit.tails import chi2_sf
 from pagaudit.data import Column, Dataset
 from pagaudit.errors import DegenerateInputError, InputError
+from pagaudit.graph import Mark
 from pagaudit.simgen import sample_dataset, truth_dag
 
 
@@ -269,6 +270,78 @@ def test_oracle_requires_dag():
         CiOracle(g, ("A", "B"))
 
 
+def test_oracle_rejects_a_truth_that_is_not_a_dag():
+    from pagaudit.graph import GraphKind, Mark, MixedGraph
+
+    cycle = MixedGraph(["A", "B", "C"], GraphKind.DAG)
+    for a, b in [("A", "B"), ("B", "C"), ("C", "A")]:
+        cycle.add_directed_edge(a, b)
+    with pytest.raises(InputError, match="directed cycle"):
+        CiOracle(cycle, ("A", "B", "C"))
+
+    marks = MixedGraph(["A", "B", "C"], GraphKind.DAG)
+    marks.add_circle_edge("A", "B")
+    marks.add_edge("B", "C", Mark.ARROW, Mark.ARROW)
+    with pytest.raises(InputError, match="non-directed edge in DAG: A o-o B"):
+        CiOracle(marks, ("A", "B", "C"))
+
+
+def test_oracle_answers_from_the_truth_at_construction():
+    from pagaudit.graph import GraphKind, MixedGraph
+
+    g = MixedGraph(["A", "B", "C"], GraphKind.DAG)
+    g.add_directed_edge("A", "B")
+    g.add_directed_edge("B", "C")
+    o = CiOracle(g, ("A", "B", "C"))
+    g.remove_edge("B", "C")
+    g.add_directed_edge("C", "A")
+    assert oracle_test(o, "A", "C", ()) is False
+    assert oracle_test(o, "A", "C", ("B",)) is True
+    assert oracle_test(o, "B", "C", ("A",)) is False
+
+
+def test_oracle_rejects_degenerate_queries():
+    o = CiOracle(truth_dag(), ("H", "V", "R", "Y"))
+    with pytest.raises(InputError, match="distinct"):
+        oracle_test(o, "H", "H", ())
+    with pytest.raises(InputError, match="conditioning set"):
+        oracle_test(o, "H", "Y", ("V", "Y"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    p_edge=st.sampled_from([0.25, 0.4, 0.55]),
+)
+def test_oracle_matches_path_enumeration(seed, n, p_edge):
+    import helpers
+
+    rng = np.random.default_rng(seed)
+    g = helpers.random_dag(rng, n, p_edge)
+    names = list(g.names)
+    x, y = (names[int(v)] for v in rng.choice(n, size=2, replace=False))
+    # a random latent subset, never x or y, and the observed in shuffled order
+    observed = [v for v in names if v in (x, y) or rng.random() < 0.7]
+    observed = [observed[int(i)] for i in rng.permutation(len(observed))]
+    # colliders and their descendants enter Z often, so collider paths open
+    parents = {v: 0 for v in range(n)}
+    for e in g.edges():
+        parents[g.index(e.b if e.mark_b is Mark.ARROW else e.a)] += 1
+    near_collider = set()
+    for v, count in parents.items():
+        if count >= 2:
+            near_collider |= helpers._descendants_brute(g, v)
+    z = [
+        v for v in observed
+        if v not in (x, y) and rng.random() < (0.6 if g.index(v) in near_collider else 0.25)
+    ]
+    o = CiOracle(g, tuple(observed))
+    expected = helpers.separated_by_paths(g, x, y, z)
+    assert oracle_test(o, x, y, z) == expected
+    assert oracle_test(o, y, x, z) == expected
+
+
 def test_oracle_agrees_with_exact_joint_independence():
     import helpers
 
@@ -358,3 +431,14 @@ def test_independence_decision_equals_the_tail_comparison(dof, alpha):
         assert chi_square_independent(stat, dof, alpha) == (chi2_sf(stat, dof) > alpha)
     assert chi_square_independent(123.0, 0, alpha)
 
+
+
+def test_critical_band_brackets_the_crossing_closely():
+    # dofs and alphas where the Wilson-Hilferty start is poor or negative
+    from pagaudit.citests import _critical_band
+
+    for dof in [1, 2, 3, 5, 9, 17, 60, 250, 2000]:
+        for alpha in [1e-12, 1e-6, 0.01, 0.05, 0.3, 0.9, 0.999]:
+            lo, hi = _critical_band(dof, alpha)
+            assert chi2_sf(lo, dof) > alpha >= chi2_sf(hi, dof)
+            assert 0.0 < hi - lo <= 1e-6 * hi

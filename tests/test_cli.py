@@ -287,6 +287,29 @@ def test_oracle_unknown_observed_node_exits_2(tmp_path):
     )
 
 
+def test_oracle_truth_that_is_not_a_dag_exits_2(tmp_path, capsys):
+    # kind "dag", but a directed cycle, or circle and bidirected marks
+    directed = [("A", "B", "tail", "arrow"), ("B", "C", "tail", "arrow")]
+    truths = {
+        "directed cycle": directed + [("C", "A", "tail", "arrow")],
+        "non-directed edge in DAG: A o-o B": [
+            ("A", "B", "circle", "circle"), ("B", "C", "arrow", "arrow"),
+        ],
+    }
+    for problem, edges in truths.items():
+        tpath = tmp_path / "truth.json"
+        tpath.write_text(json.dumps({
+            "kind": "dag",
+            "nodes": ["A", "B", "C"],
+            "edges": [{"a": a, "b": b, "mark_a": ma, "mark_b": mb} for a, b, ma, mb in edges],
+        }))
+        out = tmp_path / "out.json"
+        argv = ["oracle", "--truth", str(tpath), "--observe", "A,B,C", "--out", str(out)]
+        assert run(argv) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_rerun_reproduces_outputs_byte_for_byte(tmp_path):
     data = _simulated(tmp_path, n=1500, seed=6)
     out = tmp_path / "g.dot"

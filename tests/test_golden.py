@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import bird_like_standin
+from helpers import bird_like_standin, random_latent_dag
 from pagaudit import cli
 from pagaudit.data import read_csv_text
 from pagaudit.fci import FciConfig, fci_run
@@ -118,3 +118,23 @@ def test_bird27_replicate_matches_golden_digest(test):
     rep = bootstrap_replicate(bird_like_standin(), 1, 0)
     cfg = FciConfig(alpha=0.05, max_cond_size=3, test=test)
     assert fci_digests(fci_run(rep, cfg=cfg, target="label")) == GOLDEN_BIRD27[test]
+
+
+# The `oracle` command's PAG JSON on 40 seeded 12-node, 20-edge DAGs with 3
+# latent nodes, concatenated in seed order: colliders, latent confounding and
+# Possible-D-SEP on graphs the fig4a truth above is too small to reach.
+# Captured before the oracle's d-separation moved to bitmasks.
+GOLDEN_RANDOM_ORACLE = "2bb1d75413f1bed057ceb10e59edf67bb66c77f250ce3e50c949f7422defbd32"
+
+
+def test_random_dag_oracle_pags_match_golden_digest(tmp_path):
+    pags = []
+    for seed in range(40):
+        dag, observed = random_latent_dag(seed)
+        truth, out = tmp_path / f"truth{seed}.json", tmp_path / f"pag{seed}.json"
+        truth.write_text(to_json(dag))
+        argv = ["oracle", "--truth", truth, "--observe", ",".join(observed),
+                "--format", "json", "--out", out]
+        assert cli.main([str(a) for a in argv]) == 0
+        pags.append(out.read_bytes())
+    assert sha256(b"".join(pags)) == GOLDEN_RANDOM_ORACLE

@@ -99,6 +99,19 @@ def test_dsep_requires_dag_kind():
         d_separated(g, "A", "B", set())
 
 
+def test_dsep_rejects_a_dag_kind_graph_that_is_not_a_dag():
+    # only tail->arrow edges enter the parent masks, so these would be misread
+    cycle = MixedGraph(["A", "B", "C"], GraphKind.DAG)
+    for a, b in [("A", "B"), ("B", "C"), ("C", "A")]:
+        cycle.add_directed_edge(a, b)
+    with pytest.raises(InputError, match="directed cycle"):
+        d_separated(cycle, "A", "C", {"B"})
+    circle = MixedGraph(["A", "B"], GraphKind.DAG)
+    circle.add_circle_edge("A", "B")
+    with pytest.raises(InputError, match="non-directed edge"):
+        d_separated(circle, "A", "B", set())
+
+
 def test_dsep_rejects_degenerate_queries():
     g = truth_dag()
     with pytest.raises(InputError):
