@@ -9,7 +9,7 @@ reports bootstrap edge stability.
 __version__ = "0.1.0"
 
 from .citests import CiOracle, CiTestResult, chi_square_test, fisher_z_test, oracle_test
-from .data import Column, Dataset, parse_schema, read_csv, write_csv
+from .data import Column, CountTable, Dataset, parse_schema, read_csv, write_csv
 from .errors import (
     DegenerateInputError,
     FitError,

@@ -60,7 +60,7 @@ class CiTestResult:
     alpha: float
 
 
-def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON):
+def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON, weights=None):
     """Statistic and dof of x _||_ y | S for each S in a batch of same-size sets.
 
     ``x`` and ``y`` hold the row codes of the tested pair, of arities ``rx``
@@ -69,8 +69,11 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON):
     ``arities`` (shape (B, k)) their arities.  A set's strata are the
     mixed-radix codes of its members' levels, first member most significant;
     each set's cells start at their own offset, so one bincount counts the
-    whole batch.  Returns the B statistics (float) and dofs (int), as defined
-    in ``chi_square_test``.
+    whole batch.  ``weights`` (B * n, set by set), if given, is how many
+    times each row counts: distinct rows weighted by their multiplicities
+    give exactly the statistics of the repeated rows, since every count is a
+    float sum of integers.  Returns the B statistics (float) and dofs (int),
+    as defined in ``chi_square_test``.
     """
     # ufunc methods throughout: their numpy-function wrappers cost more than
     # the arithmetic on the small arrays of a short walk
@@ -88,7 +91,10 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON):
     cell = (first_stratum * rxy).astype(code)[:, None] + (np.asarray(x, dtype=code) * ry + y)
     for j, codes in enumerate(members):
         cell += codes * place[:, j, None]
-    counts = np.bincount(cell.ravel(), minlength=total * rxy).reshape(total, rx, ry)
+    counts = np.bincount(cell.ravel(), weights, total * rxy)
+    # weighted counts are float sums of integers, so exact: as integers the
+    # margins take numpy's integer matmul, which beats the float one on a stack
+    counts = counts.astype(np.int64, copy=False).reshape(total, rx, ry)
 
     # margins by matmul: reductions over axes this short are slower
     row = counts @ np.ones(ry, counts.dtype)  # (strata, rx)
@@ -99,16 +105,19 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON):
     informative = (r_eff >= 2) & (c_eff >= 2)
     dof = add.reduceat(np.where(informative, (r_eff - 1) * (c_eff - 1), 0), first_stratum)
 
-    # uninformative strata divide by infinity: no expected counts, no terms
-    expected = row[:, :, None] * col[:, None, :] / np.where(informative, tot, np.inf)[:, None, None]
+    # uninformative strata divide by infinity: no expected counts, no terms;
+    # in place, the statistic needs about three float arrays of the cells
+    expected = mul(row[:, :, None], col[:, None, :], dtype=np.float64)
+    expected /= np.where(informative, tot, np.inf)[:, None, None]
     mask = expected > 0
     if variant == PEARSON:
-        diff = np.where(mask, counts - expected, 0.0)
-        terms = diff * diff / np.where(mask, expected, 1.0)
+        terms = np.subtract(counts, expected, out=np.zeros(expected.shape), where=mask)
+        terms *= terms
+        np.divide(terms, expected, out=terms, where=mask)
     else:
-        pos = mask & (counts > 0)
-        ratio = np.where(pos, counts / np.where(pos, expected, 1.0), 1.0)
-        terms = 2.0 * counts * np.where(pos, np.log(ratio), 0.0)
+        ratio = np.divide(counts, expected, out=np.ones(expected.shape), where=mask & (counts > 0))
+        terms = np.log(ratio, out=ratio)
+        terms *= 2.0 * counts
     return add.reduceat(terms.ravel(), first_stratum * rxy), dof
 
 

@@ -2,7 +2,9 @@
 
 Datasets are immutable after construction.  CSV ingestion expects a header
 row plus a sidecar schema declaring each column as ``name:cat:<arity>`` or
-``name:cont``; missing values are rejected.
+``name:cont``; missing values are rejected.  A ``CountTable`` holds
+categorical columns as their distinct rows plus a count per distinct row,
+which is all a chi-square test reads of them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .errors import InputError, SchemaError
 
 __all__ = [
     "Column",
+    "CountTable",
     "Dataset",
+    "distinct_rows",
     "parse_schema",
     "read_csv",
     "read_text",
@@ -112,6 +116,75 @@ class Dataset:
         return all(
             a.kind == b.kind and a.arity == b.arity and np.array_equal(a.values, b.values)
             for a, b in zip(self.columns, other.columns)
+        )
+
+
+def distinct_rows(codes: np.ndarray, arities) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of coded columns, in lexicographic order, and the
+    index of each row among them: ``np.unique(codes.T, axis=0,
+    return_inverse=True)``, transposed, from one sort of a packed key.
+
+    ``codes`` holds one column per array row (shape (k, n)), column j coded
+    in [0, arities[j]).  The key packs a row in mixed radix, first column
+    most significant; where the next column could push it past int64, the
+    key is first replaced by its rank among the distinct keys so far, which
+    keeps their order.
+    """
+    key = np.zeros(codes.shape[1], dtype=np.int64)
+    bound = 1  # every key is below it
+    for col, arity in zip(codes, arities):
+        arity = int(arity)
+        if bound > (1 << 63) // arity:
+            ranked, key = np.unique(key, return_inverse=True)
+            bound = len(ranked)
+        key = key * arity + col
+        bound *= arity
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return codes[:, first], inverse
+
+
+class CountTable:
+    """Categorical columns held as their distinct rows and, for each data
+    row, the index of its distinct row.
+
+    ``codes`` (shape (k, m)) holds the m distinct rows, one column per array
+    row, in the smallest unsigned type; ``rows`` (shape (n,)) maps each data
+    row, in data order, to its distinct row; ``counts`` (shape (m,)) is how
+    often each distinct row occurs.  ``take_rows`` only recounts: the result
+    shares ``codes``, and a distinct row it does not draw keeps count zero.
+    A chi-square test reads the rows only through these counts.
+    """
+
+    def __init__(self, names, arities: np.ndarray, codes: np.ndarray, rows: np.ndarray):
+        self.names = list(names)
+        self.arities = arities
+        self.codes = codes
+        self.rows = rows
+        self.n = len(rows)
+        self.counts = np.bincount(rows, minlength=codes.shape[1])
+
+    @classmethod
+    def of(cls, d: Dataset) -> "CountTable":
+        """The count table of an all-categorical dataset."""
+        for c in d.columns:
+            if c.kind != CATEGORICAL:
+                raise InputError(f"count tables hold categorical columns, {c.name!r} is not")
+        arities = np.array([c.arity for c in d.columns], dtype=np.int64)
+        codes = np.empty((len(arities), d.n), dtype=np.min_scalar_type(arities.max() - 1))
+        for i, c in enumerate(d.columns):
+            codes[i] = c.values
+        distinct, rows = distinct_rows(codes, arities)
+        return cls(d.names, arities, distinct, rows)
+
+    def take_rows(self, idx: np.ndarray) -> "CountTable":
+        return CountTable(self.names, self.arities, self.codes, self.rows[idx])
+
+    @property
+    def columns(self) -> tuple[Column, ...]:
+        """The data rows as Columns, in data order; built on each access."""
+        return tuple(
+            Column(name, CATEGORICAL, codes[self.rows], int(arity))
+            for name, codes, arity in zip(self.names, self.codes, self.arities)
         )
 
 

@@ -28,7 +28,7 @@ from .citests import (  # noqa: F401
     fisher_z_test,
     oracle_test,
 )
-from .data import CATEGORICAL, CONTINUOUS, Dataset
+from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -48,6 +48,7 @@ __all__ = [
     "fci_run",
     "FciResult",
     "parse_knowledge",
+    "select_test",
 ]
 
 RULE_ORDER = ("R1", "R2", "R3", "R4", "R8", "R9", "R10")
@@ -129,11 +130,13 @@ class SepSetMap:
         }
 
 
-# Batch sizes count rows x sets: a walk's first batch holds about _BATCH_START,
-# each later one four times the last, up to _BATCH_CAP, which also bounds the
-# cells of one kernel call.
+# Batch sizes count rows x sets, where a count table's rows are its distinct
+# rows that occur: a walk's first batch holds about _BATCH_START, each later
+# one four times the last, up to _BATCH_CAP, which also bounds the cells of
+# one kernel call.  At this cap a kernel call peaks near 2 MB, and the
+# weights tiled for the longest call hold 0.5 MB.
 _BATCH_START = 1 << 14
-_BATCH_CAP = 1 << 17
+_BATCH_CAP = 1 << 16
 
 
 class CiTester:
@@ -146,7 +149,7 @@ class CiTester:
 
     def __init__(
         self,
-        source: Dataset | CiOracle,
+        source: Dataset | CountTable | CiOracle,
         cfg: FciConfig,
         diagnostics: Diagnostics | None = None,
     ):
@@ -155,7 +158,7 @@ class CiTester:
         self._cache: dict[int, bool] = {}
         if isinstance(source, CiOracle):
             self.names = tuple(source.observed)
-        elif isinstance(source, Dataset):
+        elif isinstance(source, (Dataset, CountTable)):
             self.names = tuple(source.names)
         else:
             raise InputError(f"cannot test on source of type {type(source).__name__}")
@@ -225,35 +228,54 @@ class CiTester:
             raise wrapped from exc
 
 
-def _decider(source: Dataset | CiOracle, cfg: FciConfig):
+def select_test(source: Dataset | CountTable, selector: str) -> str:
+    """The dataset test, chi2, g2 or fisherz, that ``selector`` picks for the
+    source's columns, checked before any query runs.
+
+    ``auto`` picks chi-square for all-categorical columns and Fisher-z for
+    all-continuous ones; an explicit test must fit every column.  A count
+    table's columns are categorical.
+    """
+    if selector == "oracle":
+        raise InputError("oracle test selected but source is a dataset")
+    if isinstance(source, CountTable):
+        kinds = dict.fromkeys(source.names, CATEGORICAL)
+    else:
+        kinds = {c.name: c.kind for c in source.columns}
+    if selector == "auto":
+        found = set(kinds.values())
+        if len(found) > 1:
+            raise InputError("mixed column kinds: choose the test explicitly")
+        return "chi2" if found == {CATEGORICAL} else "fisherz"
+    if selector == "fisherz":
+        need, problem = CONTINUOUS, "fisher-z test needs continuous columns"
+    else:
+        need, problem = CATEGORICAL, "chi-square test needs categorical columns"
+    for name, kind in kinds.items():
+        if kind != need:
+            raise InputError(f"{problem}, {name!r} is not")
+    return selector
+
+
+def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
     """The CI decision for this source and test selector, and its batch rows.
 
     The decision maps indices (x, y, [S, ...]) to one (independent,
-    uninformative) pair per set.  Chi-square scores a batch in one kernel
-    call and returns the dataset's row count, by which the tester sizes its
-    batches; the other tests go one set at a time (rows None).  An oracle
-    source always uses the oracle; ``auto`` picks chi-square for
-    all-categorical data and Fisher-z for all-continuous data.
+    uninformative) pair per set.  Chi-square runs on the source's count
+    table, scores a batch in one kernel call and returns the number of
+    distinct rows it counts, by which the tester sizes its batches; the
+    other tests go one set at a time (rows None).  An oracle source always
+    uses the oracle; a dataset's test is chosen by ``select_test``.
     """
     if isinstance(source, CiOracle):
         return _one_at_a_time(source.observed, lambda x, y, s: oracle_test(source, x, y, s)), None
-    test = cfg.test
-    if test == "oracle":
-        raise InputError("oracle test selected but source is a dataset")
-    if test == "auto":
-        kinds = {c.kind for c in source.columns}
-        if kinds == {CATEGORICAL}:
-            test = "chi2"
-        elif kinds == {CONTINUOUS}:
-            test = "fisherz"
-        else:
-            raise InputError("mixed column kinds: choose the test explicitly")
+    test = select_test(source, cfg.test)
     if test == "fisherz":
         return _one_at_a_time(
             source.names, lambda x, y, s: fisher_z_test(source, x, y, s, cfg.alpha).independent
         ), None
-    variant = GSQUARED if test == "g2" else PEARSON
-    return _chi_square_decider(source, variant, cfg.alpha), source.n
+    table = source if isinstance(source, CountTable) else CountTable.of(source)
+    return _chi_square_decider(table, GSQUARED if test == "g2" else PEARSON, cfg.alpha)
 
 
 def _one_at_a_time(names, test):
@@ -266,21 +288,27 @@ def _one_at_a_time(names, test):
     return decide
 
 
-def _chi_square_decider(d: Dataset, variant: str, alpha: float):
-    """Batch chi-square decisions on the dataset's columns, coded once in the
-    smallest unsigned type; a batch is split into kernel calls of at most
-    _BATCH_CAP cells."""
-    for c in d.columns:
-        if c.kind != CATEGORICAL:
-            raise InputError(f"chi-square test needs categorical columns, {c.name!r} is not")
-    if d.n == 0:
+def _chi_square_decider(t: CountTable, variant: str, alpha: float):
+    """Batch chi-square decisions on the distinct rows of a count table that
+    occur, each weighted by its count, and their number.
+
+    A batch is split into kernel calls of at most _BATCH_CAP cells and
+    _BATCH_CAP rows.  A call's weights are a slice of the counts tiled for
+    the most sets a call has needed so far, so they are tiled only when a
+    call needs more.
+    """
+    if t.n == 0:
         raise InputError("empty dataset")
-    arity = np.array([c.arity for c in d.columns], dtype=np.int64)
-    codes = np.empty((len(arity), d.n), dtype=np.min_scalar_type(arity.max() - 1))
-    for i, c in enumerate(d.columns):
-        codes[i] = c.values
+    present = np.flatnonzero(t.counts)
+    codes = t.codes[:, present]
+    weights = t.counts[present].astype(np.float64)
+    arity = t.arities
+    rows = len(present)
+    max_sets = max(1, _BATCH_CAP // rows)
+    tiled = weights
 
     def decide(x: int, y: int, subsets: list) -> list[tuple[bool, bool]]:
+        nonlocal tiled
         sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
         set_arity = arity[sets]
         cells = np.cumsum(arity[x] * arity[y] * set_arity.prod(axis=1))
@@ -289,11 +317,14 @@ def _chi_square_decider(d: Dataset, variant: str, alpha: float):
         while start < len(sets):
             room = _BATCH_CAP + (cells[start - 1] if start else 0)
             stop = max(start + 1, int(np.searchsorted(cells, room, side="right")))
+            stop = min(stop, start + max_sets)
+            if len(tiled) < (stop - start) * rows:
+                tiled = np.tile(weights, stop - start)
             chunk = sets[start:stop]
             stats, dofs = chi_square_batch(
                 codes[x], arity[x], codes[y], arity[y],
                 [codes[chunk[:, j]] for j in range(chunk.shape[1])],
-                set_arity[start:stop], variant,
+                set_arity[start:stop], variant, tiled[: (stop - start) * rows],
             )
             out += [
                 (chi_square_independent(stat, dof, alpha), dof == 0)
@@ -302,7 +333,7 @@ def _chi_square_decider(d: Dataset, variant: str, alpha: float):
             start = stop
         return out
 
-    return decide
+    return decide, rows
 
 
 def _first_independent(test, x: int, y: int, subsets):
@@ -809,12 +840,13 @@ class FciResult:
 
 
 def fci_run(
-    source: Dataset | CiOracle,
+    source: Dataset | CountTable | CiOracle,
     knowledge: BackgroundKnowledge | None = None,
     cfg: FciConfig | None = None,
     target: str | None = None,
 ) -> FciResult:
-    """Run the full pipeline on a dataset or oracle and return the PAG.
+    """Run the full pipeline on a dataset, a count table or an oracle and
+    return the PAG.
 
     ``target`` is shorthand for declaring that variable a non-ancestor of all
     others (the prediction-column constraint); it merges with ``knowledge``.

@@ -5,6 +5,13 @@ target declared a non-ancestor of every feature, and classifies every
 feature against the target.  The report tallies, per feature, how often each
 classification occurred; the headline number is the combined frequency of
 definite- and possible-cause edges.
+
+A chi-square run codes the data once into a count table: its distinct rows
+and a count for each.  A replicate draws the same rows as
+``bootstrap_replicate`` on the dataset, but only recounts the distinct rows,
+and the CI test weights each distinct row by its count, which gives exactly
+the statistics of the resampled rows.  Fisher-z replicates copy the drawn
+rows, in draw order.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, keyed_rng
+from .data import CountTable, Dataset, keyed_rng
 from .errors import InputError, PagauditError
-from .fci import FciConfig, fci_run
+from .fci import FciConfig, fci_run, select_test
 from .graph import BackgroundKnowledge, EdgeClass, classify_edge
 
 __all__ = [
@@ -119,13 +126,15 @@ class StabilityReport:
 
 
 def bootstrap_replicate(
-    d: Dataset, base_seed: int, index: int = 0, fraction: float | None = None
-) -> Dataset:
+    d: Dataset | CountTable, base_seed: int, index: int = 0, fraction: float | None = None
+) -> Dataset | CountTable:
     """Resample the rows with a counter-based generator keyed by (base_seed,
     replicate index); the schema is unchanged.
 
     With ``fraction`` None, n rows are drawn with replacement; otherwise
     round(fraction * n) distinct rows (at least one) are kept in data order.
+    A Dataset's replicate copies the drawn rows; a CountTable's replicate
+    draws the same rows but only recounts its distinct rows.
     """
     if d.n < 1:
         raise InputError("cannot resample an empty dataset")
@@ -137,7 +146,10 @@ def bootstrap_replicate(
 
 
 def _one_replicate(
-    d: Dataset, cfg: StabilityConfig, knowledge: BackgroundKnowledge | None, index: int
+    d: Dataset | CountTable,
+    cfg: StabilityConfig,
+    knowledge: BackgroundKnowledge | None,
+    index: int,
 ) -> dict[str, EdgeClass]:
     rep = bootstrap_replicate(d, cfg.base_seed, index, cfg.subsample_fraction)
     result = fci_run(rep, knowledge=knowledge, cfg=cfg.fci, target=cfg.target)
@@ -157,7 +169,9 @@ def run_stability(
 
     Replicates run one after another, and each depends only on the data, the
     base seed and its index, so the report is reproducible from the base
-    seed.  Failed replicates are recorded and excluded from the denominators.
+    seed.  The CI test is chosen once, and a test that does not fit the
+    column kinds raises InputError before any replicate runs.  Replicates
+    that fail on their data are recorded and excluded from the denominators.
     """
     if not d.has(cfg.target):
         raise InputError(f"target {cfg.target!r} is not a column")
@@ -165,11 +179,14 @@ def run_stability(
     if not features:
         raise InputError("no feature columns besides the target")
 
+    # select_test raises on a test that does not fit the columns, which would
+    # fail every replicate alike
+    source = d if select_test(d, cfg.fci.test) == "fisherz" else CountTable.of(d)
     counts = {name: {c: 0 for c in _CLASS_ORDER} for name in features}
     failures: list[tuple[int, str]] = []
     for i in range(cfg.replicates):
         try:
-            classes = _one_replicate(d, cfg, knowledge, i)
+            classes = _one_replicate(source, cfg, knowledge, i)
         except PagauditError as exc:
             failures.append((i, str(exc)))
             continue

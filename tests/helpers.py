@@ -447,3 +447,17 @@ def bird_like_standin(n=1500, seed=5):
     ]
     cols.append(Column("label", "cat", target, 9))
     return Dataset(cols)
+
+
+def xray_like_standin(seed, n=239):
+    """Seven binary findings and a binary label driven by three of them, the
+    make-up of the 8-column protocol: at most 256 row patterns, so rows
+    repeat."""
+    rng = np.random.default_rng(seed)
+    findings = [rng.integers(0, 2, n) for _ in range(7)]
+    findings[3] = findings[0] | rng.integers(0, 2, n)
+    logit = -1.0 + 2.0 * findings[0] + 1.5 * findings[1] + 1.0 * findings[2]
+    label = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.int64)
+    cols = [Column(f"f{i}", "cat", v, 2) for i, v in enumerate(findings)]
+    cols.append(Column("label", "cat", label, 2))
+    return Dataset(cols)

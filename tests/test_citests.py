@@ -410,6 +410,44 @@ def test_batch_kernel_matches_single_sets_and_scipy(
         assert stat == pytest.approx(ref_stat, rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 80),
+    arities=st.lists(st.integers(1, 4), min_size=3, max_size=6),
+    constant=st.integers(0, 63),
+    k=st.integers(0, 3),
+    variant=st.sampled_from([PEARSON, GSQUARED]),
+)
+def test_batch_kernel_on_counted_distinct_rows_equals_the_rows(
+    seed, n, arities, constant, k, variant
+):
+    # column i is constant when bit i of ``constant`` is set; small n leaves
+    # strata empty; skewed levels make rows repeat
+    rng = np.random.default_rng(seed)
+    columns = np.stack([
+        np.zeros(n, dtype=np.int64) if constant >> i & 1
+        else np.minimum(rng.geometric(0.6, n) - 1, a - 1)
+        for i, a in enumerate(arities)
+    ])
+    distinct, inverse = np.unique(columns.T, axis=0, return_inverse=True)
+    distinct, counts = distinct.T, np.bincount(inverse.ravel())
+    k = min(k, len(arities) - 2)
+    sets = list(itertools.combinations(range(2, len(arities)), k))
+
+    def kernel(cols, weights):
+        return chi_square_batch(
+            cols[0], arities[0], cols[1], arities[1],
+            [np.stack([cols[s[j]] for s in sets]) for j in range(k)],
+            [[arities[v] for v in s] for s in sets], variant, weights,
+        )
+
+    stats, dofs = kernel(distinct, np.tile(counts.astype(np.float64), len(sets)))
+    row_stats, row_dofs = kernel(columns, None)
+    assert stats.tolist() == row_stats.tolist()
+    assert dofs.tolist() == row_dofs.tolist()
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.99])
 @pytest.mark.parametrize("dof", [1, 2, 3, 7, 40, 300])
 def test_independence_decision_equals_the_tail_comparison(dof, alpha):

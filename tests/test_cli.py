@@ -2,6 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from pagaudit import cli
 from pagaudit.errors import KnowledgeInconsistencyError
 from pagaudit.graph import Mark, from_dot, from_json
@@ -188,6 +190,35 @@ def test_stability_cli_outputs_and_thread_invariance(tmp_path):
     assert set(report["features"]) == {"H", "V", "R"}
     csv_text = Path(str(out1) + ".csv").read_text()
     assert csv_text.startswith("feature,def_cause,poss_cause,confounded,none,cause_frequency")
+
+
+@pytest.mark.parametrize(
+    "schema, test, problem",
+    [
+        ("a:cat:2\nb:cat:2\nt:cat:2\n", "fisherz",
+         "fisher-z test needs continuous columns, 'a' is not"),
+        ("a:cont\nb:cont\nt:cont\n", "chi2",
+         "chi-square test needs categorical columns, 'a' is not"),
+        ("a:cont\nb:cont\nt:cont\n", "g2",
+         "chi-square test needs categorical columns, 'a' is not"),
+        ("a:cat:2\nb:cont\nt:cat:2\n", "auto",
+         "mixed column kinds: choose the test explicitly"),
+    ],
+    ids=["fisherz-on-cat", "chi2-on-cont", "g2-on-cont", "auto-on-mixed"],
+)
+@pytest.mark.parametrize("command", ["discover", "stability"])
+def test_a_test_that_does_not_fit_the_columns_exits_2(
+    tmp_path, capsys, command, schema, test, problem
+):
+    # stability used to exit 0 with every replicate failed and an all-zero report
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,t\n" + "".join(f"{i % 2},{i // 2 % 2},{i // 4 % 2}\n" for i in range(40)))
+    Path(str(data) + ".schema").write_text(schema)
+    argv = [command, "--data", str(data), "--target", "t", "--test", test,
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error (input): {problem}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "d.csv.schema"]
 
 
 def test_stability_single_replicate_degenerate_frequencies(tmp_path):

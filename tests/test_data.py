@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagaudit.data import (
     Column,
+    CountTable,
     Dataset,
+    distinct_rows,
     parse_schema,
     read_csv,
     read_csv_text,
@@ -99,3 +103,58 @@ def test_write_csv_round_trip(tmp_path):
     p2 = tmp_path / "out2.csv"
     write_csv(d, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def _assert_distinct_rows_match_numpy(codes, arities):
+    rows, inverse = distinct_rows(codes, arities)
+    ref_rows, ref_inverse = np.unique(codes.T, axis=0, return_inverse=True)
+    assert np.array_equal(rows, ref_rows.T)
+    assert np.array_equal(inverse, ref_inverse.ravel())
+
+
+def test_distinct_rows_key_past_int64_matches_numpy():
+    # 70 binary columns: a packed key needs 70 bits, past int64, so the key
+    # is re-ranked on the way
+    rng = np.random.default_rng(3)
+    codes = rng.integers(0, 2, (70, 400)).astype(np.uint8)
+    codes[:, 200:] = codes[:, :200]  # every row twice
+    _assert_distinct_rows_match_numpy(codes, [2] * 70)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(0, 80),
+    arities=st.lists(st.integers(1, 300), min_size=1, max_size=40),
+    copies=st.integers(1, 3),
+)
+def test_distinct_rows_matches_numpy_unique(seed, n, arities, copies):
+    # arities up to 300 over up to 40 columns re-rank the key several times;
+    # repeated blocks of rows make duplicates
+    rng = np.random.default_rng(seed)
+    block = np.stack([rng.integers(0, a, n) for a in arities]).astype(np.uint16)
+    _assert_distinct_rows_match_numpy(np.tile(block, copies), arities)
+
+
+def test_count_table_counts_and_recounts_rows():
+    d = Dataset(
+        [
+            Column("a", "cat", np.array([1, 0, 1, 1, 0]), 2),
+            Column("b", "cat", np.array([2, 0, 2, 0, 0]), 3),
+        ]
+    )
+    t = CountTable.of(d)
+    assert t.names == ["a", "b"] and t.n == 5
+    assert t.codes.tolist() == [[0, 1, 1], [0, 0, 2]]  # rows (0,0), (1,0), (1,2)
+    assert t.counts.tolist() == [2, 1, 2]
+    assert Dataset(list(t.columns)) == d
+    rep = t.take_rows(np.array([0, 0, 3]))
+    assert rep.codes is t.codes and rep.n == 3
+    assert rep.counts.tolist() == [0, 1, 2]
+    assert Dataset(list(rep.columns)) == d.take_rows(np.array([0, 0, 3]))
+
+
+def test_count_table_needs_categorical_columns():
+    d = Dataset([Column("a", "cat", np.array([0, 1]), 2), Column("x", "cont", [0.5, 1.5])])
+    with pytest.raises(InputError, match="'x'"):
+        CountTable.of(d)

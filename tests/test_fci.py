@@ -221,7 +221,7 @@ def test_tester_runs_the_selected_test(monkeypatch, kind, selector, expected):
     calls = []
     independent = CiTestResult(0.0, 1, 1.0, True, 0.05)
 
-    def chi2(x, rx, y, ry, members, arities, variant):
+    def chi2(x, rx, y, ry, members, arities, variant, weights):
         calls.append(("chi2", variant))
         return np.zeros(len(arities)), np.ones(len(arities), dtype=np.int64)
 

@@ -3,14 +3,16 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from pagaudit.data import Column, Dataset
+from helpers import bird_like_standin, xray_like_standin
+from pagaudit.data import Column, CountTable, Dataset
 from pagaudit.errors import InputError
-from pagaudit.fci import FciConfig
-from pagaudit.graph import EdgeClass
+from pagaudit.fci import FciConfig, fci_run
+from pagaudit.graph import EdgeClass, to_json
 from pagaudit.simgen import simulate
 from pagaudit.stability import (
     StabilityConfig,
@@ -185,3 +187,47 @@ def test_missing_target_rejected():
     d = small_dataset()
     with pytest.raises(InputError):
         run_stability(d, StabilityConfig(target="ghost", replicates=2))
+
+
+def _fci_outputs(result):
+    return to_json(result.graph), result.sepsets.items(), asdict(result.diagnostics)
+
+
+@pytest.mark.parametrize("fraction", [None, 0.5])
+@pytest.mark.parametrize(
+    "data, cfg",
+    [
+        ("bird27", FciConfig(alpha=0.05, max_cond_size=3, test="chi2")),
+        ("xray8", FciConfig(alpha=0.05, test="chi2")),
+        ("xray8", FciConfig(alpha=0.2, test="g2")),
+    ],
+)
+def test_counted_replicate_runs_like_the_materialised_one(data, cfg, fraction):
+    # bird27's 1500 rows are all distinct, xray8's repeat.  The counted
+    # replicate must hold the drawn rows, in draw order, and give the same
+    # run; the bird27 goldens and test_first_independent_matches_a_one_at_a_time_walk
+    # compare the counted path with statistics on the rows themselves
+    sources = [bird_like_standin()] if data == "bird27" else [
+        xray_like_standin(seed) for seed in range(4)
+    ]
+    for d in sources:
+        rows = bootstrap_replicate(d, 1, 0, fraction)
+        counted = bootstrap_replicate(CountTable.of(d), 1, 0, fraction)
+        assert Dataset(list(counted.columns)) == rows
+        assert _fci_outputs(fci_run(counted, cfg=cfg, target="label")) == _fci_outputs(
+            fci_run(rows, cfg=cfg, target="label")
+        )
+
+
+@pytest.mark.parametrize(
+    "kind, test",
+    [("cat", "fisherz"), ("cont", "chi2"), ("cont", "g2"), ("mixed", "auto"), ("cat", "oracle")],
+)
+def test_a_test_that_does_not_fit_the_columns_raises_before_any_replicate(kind, test):
+    rng = np.random.default_rng(0)
+    cat = [Column(n, "cat", rng.integers(0, 2, 50), 2) for n in ("a", "t")]
+    cont = [Column(n, "cont", rng.normal(size=50)) for n in ("a", "t")]
+    cols = {"cat": cat, "cont": cont, "mixed": [cat[0], cont[1]]}[kind]
+    cfg = StabilityConfig(target="t", replicates=3, fci=FciConfig(test=test))
+    with pytest.raises(InputError):
+        run_stability(Dataset(cols), cfg)
