@@ -6,11 +6,11 @@ exact oracle that answers from a ground-truth DAG.  Tests are pure functions
 of (dataset, query).
 
 Every chi-square statistic comes from one kernel, ``chi_square_batch``, which
-scores one (x, y) pair against a batch of same-size conditioning sets with a
-single ``np.bincount``; ``chi_square_test`` is that kernel on one set, and
-``chi_square_independent`` turns a statistic into the decision
-``chi2_sf(statistic, dof) > alpha`` without the tail function wherever the
-statistic is clear of the critical value.
+scores a batch of same-size conditioning sets, of one (x, y) pair or of a
+pair per set, with a single ``np.bincount``; ``chi_square_test`` is that
+kernel on one set, and ``chi_square_independent`` turns a statistic into the
+decision ``chi2_sf(statistic, dof) > alpha`` without the tail function
+wherever the statistic is clear of the critical value.
 """
 
 from __future__ import annotations
@@ -64,7 +64,9 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON, wei
     """Statistic and dof of x _||_ y | S for each S in a batch of same-size sets.
 
     ``x`` and ``y`` hold the row codes of the tested pair, of arities ``rx``
-    and ``ry``.  ``members[j]`` holds the row codes of the j-th member of every
+    and ``ry``: one row (shape (n,)) for a pair shared by the whole batch, or
+    one row per set (shape (B, n)) for sets of different pairs with those
+    arities.  ``members[j]`` holds the row codes of the j-th member of every
     set, one row per set (shape (B, n), or (n,) for a batch of one), and
     ``arities`` (shape (B, k)) their arities.  A set's strata are the
     mixed-radix codes of its members' levels, first member most significant;
@@ -88,7 +90,12 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON, wei
     code = np.int32 if total * rxy < 2**31 else np.int64
     # cell stride of member j in set b: rx * ry * the arities of the later members
     place = (rxy * mul.accumulate(arities[:, ::-1], axis=1)[:, ::-1] // arities).astype(code)
-    cell = (first_stratum * rxy).astype(code)[:, None] + (np.asarray(x, dtype=code) * ry + y)
+    # the pair's cell within a stratum, x * ry + y, cast once; rows per set
+    # take their stratum offsets in place
+    xy = mul(x, ry, dtype=code)
+    xy += y
+    offset = (first_stratum * rxy).astype(code)[:, None]
+    cell = offset + xy if xy.ndim == 1 else add(xy, offset, out=xy)
     for j, codes in enumerate(members):
         cell += codes * place[:, j, None]
     counts = np.bincount(cell.ravel(), weights, total * rxy)
@@ -97,8 +104,8 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON, wei
     counts = counts.astype(np.int64, copy=False).reshape(total, rx, ry)
 
     # margins by matmul: reductions over axes this short are slower
-    row = counts @ np.ones(ry, counts.dtype)  # (strata, rx)
-    col = np.ones(rx, counts.dtype) @ counts  # (strata, ry)
+    row = counts @ _ones(ry)  # (strata, rx)
+    col = _ones(rx) @ counts  # (strata, ry)
     tot = add.reduce(col, axis=1)
     r_eff = add.reduce(row > 0, axis=1)
     c_eff = add.reduce(col > 0, axis=1)
@@ -119,6 +126,14 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON, wei
         terms = np.log(ratio, out=ratio)
         terms *= 2.0 * counts
     return add.reduceat(terms.ravel(), first_stratum * rxy), dof
+
+
+@lru_cache(maxsize=None)
+def _ones(length: int) -> np.ndarray:
+    """A read-only int64 vector of ones, shared by every kernel call."""
+    ones = np.ones(length, np.int64)
+    ones.flags.writeable = False
+    return ones
 
 
 @lru_cache(maxsize=4096)

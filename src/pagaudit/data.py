@@ -283,24 +283,36 @@ def read_csv_text(
     return Dataset(columns)
 
 
+_CSV_BLOCK = 1 << 11  # rows that write_csv formats at a time
+
+
 def write_csv(d: Dataset, path: str | Path) -> None:
-    """Write the dataset with a header row; categorical cells as integers."""
+    """Write the dataset with a header row; categorical cells as integers,
+    continuous cells in 12 significant digits.
+
+    Cells are formatted a column at a time, in blocks of _CSV_BLOCK rows, and
+    a categorical column's cells share one string per level, which keeps a
+    block's strings small; numbers never need quoting, so only the header
+    goes through csv.
+    """
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    text = [
+        [str(v) for v in range(int(c.values.max(initial=0)) + 1)].__getitem__
+        if c.kind == CATEGORICAL
+        else "{:.12g}".format
+        for c in d.columns
+    ]
     with fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(d.names)
-        cols = [c.values for c in d.columns]
-        kinds = [c.kind for c in d.columns]
-        for i in range(d.n):
-            writer.writerow(
-                [
-                    int(v[i]) if k == CATEGORICAL else format(float(v[i]), ".12g")
-                    for v, k in zip(cols, kinds)
-                ]
-            )
+        csv.writer(fh, lineterminator="\n").writerow(d.names)
+        for start in range(0, d.n, _CSV_BLOCK):
+            cells = [
+                list(map(cell, c.values[start : start + _CSV_BLOCK].tolist()))
+                for cell, c in zip(text, d.columns)
+            ]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def schema_text(d: Dataset) -> str:

@@ -7,12 +7,23 @@ rules R5-R7 never apply because undirected edges are out of scope).
 
 Everything iterates in node order with subsets in lexicographic order, so a
 run is a deterministic function of its inputs.
+
+A chi-square tester scores ahead: at the start of each skeleton depth, and
+once before Possible-D-SEP, it is given every walk that stage may run (an
+ordered pair and its sets, from the adjacency at the start of the depth, or
+from the fixed Possible-D-SEP sets) and scores the sets of all the short
+walks, those too short to fill a batch, in a few kernel calls.  The walks
+then run in order as before and stop at their first independence; a walk
+takes a score-ahead result only for its own query in its own orientation, so
+the graph, the separating sets and every counter are those of a run without
+the step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, groupby
 
 import numpy as np
 
@@ -134,9 +145,13 @@ class SepSetMap:
 # rows that occur: a walk's first batch holds about _BATCH_START, each later
 # one four times the last, up to _BATCH_CAP, which also bounds the cells of
 # one kernel call.  At this cap a kernel call peaks near 2 MB, and the
-# weights tiled for the longest call hold 0.5 MB.
+# weights tiled for the longest call hold 0.5 MB.  A score-ahead kernel call
+# holds at most _AHEAD_CAP: its sets come from many short walks, and at a
+# quarter of _BATCH_START its temporaries are 4x smaller for 5% more calls
+# on 8-column data.
 _BATCH_START = 1 << 14
 _BATCH_CAP = 1 << 16
+_AHEAD_CAP = _BATCH_START // 4
 
 
 class CiTester:
@@ -145,6 +160,15 @@ class CiTester:
     Wraps a dataset-backed test or an oracle, chosen once at construction;
     counts evaluations, cache hits and zero-dof (uninformative) results.  A
     query's cache key is one integer: the bitmask of S above the pair.
+
+    A chi-square tester scores ahead (``score_ahead``): the uncached sets of
+    every walk of a stage that has fewer than ``_first_batch`` of them are
+    scored before the walks run, each unordered query once, in the
+    orientation of the first walk that asks for it.  A walk uses such a
+    result only for the same query in the same orientation, since reversing
+    the pair can change the last bit of a statistic, and counts it then as a
+    fresh test.  Results no walk used are dropped at the next stage, so the
+    counters and the cache see exactly the sets the walks use.
     """
 
     def __init__(
@@ -164,60 +188,124 @@ class CiTester:
             raise InputError(f"cannot test on source of type {type(source).__name__}")
         self._bits = len(self.names).bit_length()
         self._decide, rows = _decider(source, cfg)
+        self._scores_ahead = rows is not None
+        # this stage's score-ahead results: (independent, uninformative) by
+        # cache key, shifted left one bit for the orientation (x > y)
+        self._ahead: dict[int, tuple[bool, bool]] = {}
         self._first_batch = max(1, _BATCH_START // rows) if rows else 1
         self._max_batch = max(1, _BATCH_CAP // rows) if rows else 1
 
     def __call__(self, x: int, y: int, s: tuple[int, ...]) -> bool:
         return self.first_independent(x, y, (tuple(s),)) is not None
 
+    def score_ahead(self, walks) -> None:
+        """Score the sets of the short walks of a stage before the walks run.
+
+        ``walks`` yields (x, y, sets) for each walk the stage may run, in
+        order.  A walk with fewer than ``_first_batch`` sets not in the cache
+        would score them in a kernel call of its own that they under-fill;
+        these sets are scored together, in as few calls as their arities
+        allow.  A longer walk fills its own first batch and is left to run.
+        A query already taken from an earlier walk, in either orientation, is
+        not taken again.  The last stage's unused results are dropped.  A
+        tester that goes one set at a time returns at once, without reading
+        ``walks``.
+        """
+        if not self._scores_ahead:
+            return
+        self._ahead = {}
+        cache, bits = self._cache, self._bits
+        shift = 2 * bits
+        taken: dict[int, int] = {}  # cache key -> key with its orientation bit
+        xs, ys, sets = [], [], []
+        for x, y, subsets in walks:
+            pair = (x << bits | y) if x < y else (y << bits | x)
+            flip = x > y
+            first, keys = [], []
+            for s in subsets:
+                key = pair
+                for v in s:
+                    key |= 1 << (v + shift)
+                if key not in cache:
+                    first.append(s)
+                    keys.append(key)
+                    if len(first) == self._first_batch:
+                        break
+            else:
+                # a short walk: on its own, its sets would under-fill a batch
+                for s, key in zip(first, keys):
+                    if key not in taken:
+                        taken[key] = key << 1 | flip
+                        xs.append(x)
+                        ys.append(y)
+                        sets.append(s)
+        if sets:
+            self._ahead = dict(zip(taken.values(), self._evaluate(xs, ys, sets)))
+
     def first_independent(self, x: int, y: int, subsets):
         """The first set S, in the order given, with x _||_ y | S, or None.
 
-        Sets are looked up in the cache in order; the uncached ones are
-        evaluated in batches of growing size, then resolved in order.  The
-        walk stops at the first independence: the counters and the cache see
-        exactly the sets up to it, as in a one-at-a-time walk, and results
-        computed past it are dropped.
+        Sets are looked up in the cache, then among this stage's score-ahead
+        results, in order; the others are evaluated in batches of growing
+        size, then resolved in order.  The walk stops at the first
+        independence: the counters and the cache see exactly the sets up to
+        it, as in a one-at-a-time walk, and results computed past it are
+        dropped.
         """
         diag = self.diagnostics
+        cache, ahead = self._cache, self._ahead
         shift = 2 * self._bits
         pair = (x << self._bits | y) if x < y else (y << self._bits | x)
+        flip = x > y
         size = self._first_batch
         subsets = iter(subsets)
         while True:
+            # (set, key, cached decision, score-ahead result) per set
             block, pending = [], []
             for s in subsets:
                 key = pair
                 for v in s:
                     key |= 1 << (v + shift)
-                known = self._cache.get(key)
-                block.append((s, key, known))
+                known = cache.get(key)
                 if known is None:
-                    pending.append(s)
-                    if len(pending) == size:
+                    scored = ahead.get(key << 1 | flip) if ahead else None
+                    block.append((s, key, None, scored))
+                    if scored is None:
+                        pending.append(s)
+                        if len(pending) == size:
+                            break
+                    elif scored[0]:
                         break
-                elif known:
-                    break
+                else:
+                    block.append((s, key, known, None))
+                    if known:
+                        break
             if not block:
                 return None
             results = iter(self._evaluate(x, y, pending) if pending else ())
-            for s, key, known in block:
+            for s, key, known, scored in block:
                 if known is None:
-                    known, uninformative = next(results)
+                    known, uninformative = scored or next(results)
                     diag.tests_run += 1
                     diag.dof_zero_warnings += uninformative
-                    self._cache[key] = known
+                    cache[key] = known
                 else:
                     diag.cache_hits += 1
                 if known:
                     return s
+            # score-ahead took only sets that the first block has read
+            ahead = None
             size = min(4 * size, self._max_batch)
 
-    def _evaluate(self, x: int, y: int, subsets: list) -> list[tuple[bool, bool]]:
+    def _evaluate(self, x, y, subsets: list) -> list[tuple[bool, bool]]:
+        """The decider's answers for one pair (int x, y) or for a pair per
+        set (lists x, y), with a failure naming the first query."""
         try:
             return self._decide(x, y, subsets)
         except Exception as exc:
             names = self.names
+            if not isinstance(x, int):
+                x, y = x[0], y[0]
             query = f"{names[x]} _||_ {names[y]} | {sorted(names[v] for v in subsets[0])}"
             if len(subsets) > 1:
                 query += f" (or one of the {len(subsets) - 1} sets after it)"
@@ -262,9 +350,10 @@ def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
 
     The decision maps indices (x, y, [S, ...]) to one (independent,
     uninformative) pair per set.  Chi-square runs on the source's count
-    table, scores a batch in one kernel call and returns the number of
-    distinct rows it counts, by which the tester sizes its batches; the
-    other tests go one set at a time (rows None).  An oracle source always
+    table, scores a batch in few kernel calls and returns the number of
+    distinct rows it counts, by which the tester sizes its batches; it also
+    takes lists x, y with a pair per set, the queries of a score-ahead step.
+    The other tests go one set at a time (rows None).  An oracle source always
     uses the oracle; a dataset's test is chosen by ``select_test``.
     """
     if isinstance(source, CiOracle):
@@ -292,10 +381,12 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
     """Batch chi-square decisions on the distinct rows of a count table that
     occur, each weighted by its count, and their number.
 
-    A batch is split into kernel calls of at most _BATCH_CAP cells and
-    _BATCH_CAP rows.  A call's weights are a slice of the counts tiled for
-    the most sets a call has needed so far, so they are tiled only when a
-    call needs more.
+    A walk's batch is scored by runs of equal-size sets; score-ahead queries
+    by groups of equal (arity x, arity y, |S|), each set with its own pair's
+    rows.  Either is split into kernel calls of at most _BATCH_CAP cells and
+    _BATCH_CAP rows, or _AHEAD_CAP for score-ahead groups.  A call's weights
+    are a slice of the counts tiled for the most sets a call has needed so
+    far, so they are tiled only when a call needs more.
     """
     if t.n == 0:
         raise InputError("empty dataset")
@@ -303,27 +394,32 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
     codes = t.codes[:, present]
     weights = t.counts[present].astype(np.float64)
     arity = t.arities
+    arities = arity.tolist()
     rows = len(present)
-    max_sets = max(1, _BATCH_CAP // rows)
     tiled = weights
 
-    def decide(x: int, y: int, subsets: list) -> list[tuple[bool, bool]]:
+    def score(x, y, subsets: list, k: int, cap: int) -> list[tuple[bool, bool]]:
+        # x, y: the pair's indices, or index arrays with a pair per set
         nonlocal tiled
-        sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), -1)
+        shared = isinstance(x, int)
+        rx, ry = (arities[x], arities[y]) if shared else (arities[x[0]], arities[y[0]])
+        sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
         set_arity = arity[sets]
-        cells = np.cumsum(arity[x] * arity[y] * set_arity.prod(axis=1))
+        cells = np.cumsum(rx * ry * set_arity.prod(axis=1))
+        max_sets = max(1, cap // rows)
         out = []
         start = 0
         while start < len(sets):
-            room = _BATCH_CAP + (cells[start - 1] if start else 0)
+            room = cap + (cells[start - 1] if start else 0)
             stop = max(start + 1, int(np.searchsorted(cells, room, side="right")))
             stop = min(stop, start + max_sets)
             if len(tiled) < (stop - start) * rows:
                 tiled = np.tile(weights, stop - start)
             chunk = sets[start:stop]
+            cx, cy = (x, y) if shared else (x[start:stop], y[start:stop])
             stats, dofs = chi_square_batch(
-                codes[x], arity[x], codes[y], arity[y],
-                [codes[chunk[:, j]] for j in range(chunk.shape[1])],
+                codes[cx], rx, codes[cy], ry,
+                [codes[chunk[:, j]] for j in range(k)],
                 set_arity[start:stop], variant, tiled[: (stop - start) * rows],
             )
             out += [
@@ -331,6 +427,25 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
                 for stat, dof in zip(stats.tolist(), dofs.tolist())
             ]
             start = stop
+        return out
+
+    def decide(x, y, subsets: list) -> list[tuple[bool, bool]]:
+        if isinstance(x, int):
+            out = []
+            for k, run in groupby(subsets, len):
+                out += score(x, y, list(run), k, _BATCH_CAP)
+            return out
+
+        def group(i):
+            return arities[x[i]], arities[y[i]], len(subsets[i])
+
+        out = [None] * len(subsets)
+        for (_, _, k), run in groupby(sorted(range(len(subsets)), key=group), group):
+            run = list(run)
+            sets = [subsets[i] for i in run]
+            results = score(np.take(x, run), np.take(y, run), sets, k, _AHEAD_CAP)
+            for i, result in zip(run, results):
+                out[i] = result
         return out
 
     return decide, rows
@@ -342,6 +457,23 @@ def _first_independent(test, x: int, y: int, subsets):
     if isinstance(test, CiTester):
         return test.first_independent(x, y, subsets)
     return next((s for s in subsets if test(x, y, s)), None)
+
+
+def _walk_stage(test, walks, graph: MixedGraph, sepsets: SepSetMap) -> None:
+    """Run a stage's walks in order, removing each edge at its walk's first
+    independence and recording the set.
+
+    ``walks`` is a function of no arguments giving a generator of
+    (x, y, sets) that reads the graph as it goes.  A CiTester is first given
+    the walks read before any edge goes, to score ahead.
+    """
+    if isinstance(test, CiTester):
+        test.score_ahead(walks())
+    for x, y, subsets in walks():
+        s = _first_independent(test, x, y, subsets)
+        if s is not None:
+            graph.remove_edge(x, y)
+            sepsets.set(x, y, s)
 
 
 # -- skeleton ------------------------------------------------------------------
@@ -371,7 +503,8 @@ def skeleton_search(
 
     For depth k = 0, 1, ... each ordered adjacent pair (x, y) is tested
     against every size-k subset of adj(x) minus y, in lexicographic order; the
-    first independence removes the edge and records the subset.
+    first independence removes the edge and records the subset.  adj(x) is
+    read when the pair's walk starts, after the removals before it.
     """
     cfg = cfg or FciConfig()
     names = tuple(nodes)
@@ -390,6 +523,15 @@ def skeleton_search(
                 g.add_circle_edge(i, j)
     diag.stage_edge_counts.setdefault("initial", g.n_edges)
 
+    def walks():
+        for x in range(n):
+            for y in list(g.neighbors(x)):
+                if not g.adjacent(x, y) or SepSetMap._key(x, y) in required:
+                    continue
+                others = [v for v in g.neighbors(x) if v != y]
+                if len(others) >= depth:
+                    yield x, y, combinations(others, depth)
+
     depth = 0
     while True:
         if cfg.max_cond_size is not None and depth > cfg.max_cond_size:
@@ -397,19 +539,7 @@ def skeleton_search(
         degrees = [len(g.neighbors(i)) for i in range(n)]
         if max(degrees, default=0) - 1 < depth:
             break
-        for x in range(n):
-            for y in list(g.neighbors(x)):
-                if not g.adjacent(x, y):
-                    continue
-                if SepSetMap._key(x, y) in required:
-                    continue
-                others = [v for v in g.neighbors(x) if v != y]
-                if len(others) < depth:
-                    continue
-                s = _first_independent(test, x, y, combinations(others, depth))
-                if s is not None:
-                    g.remove_edge(x, y)
-                    seps.set(x, y, s)
+        _walk_stage(test, walks, g, seps)
         depth += 1
     diag.stage_edge_counts.setdefault("post_skeleton", g.n_edges)
     return g, seps
@@ -501,7 +631,8 @@ def possible_dsep_prune(
 
     Performs a provisional collider pass to define the sets, removes edges
     on newly found independencies (recording the sets), then resets all marks
-    to circles.
+    to circles.  Each ordered pair's subsets of its set, of size 0, 1, ... up
+    to the size limit, are one walk, which stops at the first independence.
     """
     cfg = cfg or FciConfig()
     diag = diagnostics if diagnostics is not None else Diagnostics()
@@ -511,22 +642,21 @@ def possible_dsep_prune(
     _, required = _knowledge_index_sets(knowledge, work)
     pds = {x: _possible_dsep_set(work, x) for x in range(work.n_nodes)}
 
-    for x in range(work.n_nodes):
-        for y in list(work.neighbors(x)):
-            if not work.adjacent(x, y):
-                continue
-            if SepSetMap._key(x, y) in required:
-                continue
-            candidates = [v for v in pds[x] if v != y]
-            limit = len(candidates)
-            if cfg.max_cond_size is not None:
-                limit = min(limit, cfg.max_cond_size)
-            for k in range(limit + 1):
-                s = _first_independent(test, x, y, combinations(candidates, k))
-                if s is not None:
-                    work.remove_edge(x, y)
-                    sepsets.set(x, y, s)
-                    break
+    def walks():
+        for x in range(work.n_nodes):
+            for y in list(work.neighbors(x)):
+                if not work.adjacent(x, y) or SepSetMap._key(x, y) in required:
+                    continue
+                candidates = [v for v in pds[x] if v != y]
+                limit = len(candidates)
+                if cfg.max_cond_size is not None:
+                    limit = min(limit, cfg.max_cond_size)
+                # one walk through the subsets of size 0, 1, ..., limit
+                yield x, y, chain.from_iterable(
+                    map(partial(combinations, candidates), range(limit + 1))
+                )
+
+    _walk_stage(test, walks, work, sepsets)
     _reset_marks(work)
     diag.stage_edge_counts.setdefault("post_possible_dsep", work.n_edges)
     return work, sepsets

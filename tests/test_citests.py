@@ -448,6 +448,52 @@ def test_batch_kernel_on_counted_distinct_rows_equals_the_rows(
     assert dofs.tolist() == row_dofs.tolist()
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 80),
+    rx=st.integers(1, 3),
+    ry=st.integers(1, 3),
+    set_arities=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    k=st.integers(0, 3),
+    n_sets=st.integers(1, 8),
+    weighted=st.booleans(),
+    variant=st.sampled_from([PEARSON, GSQUARED]),
+)
+def test_batch_kernel_over_mixed_pairs_equals_the_per_pair_calls(
+    seed, n, rx, ry, set_arities, k, n_sets, weighted, variant
+):
+    # three candidate x columns of arity rx, three y columns of arity ry, and
+    # conditioning columns; every set of the batch draws its own (x, y) pair
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, rx, (3, n)).astype(np.uint8)
+    ys = rng.integers(0, ry, (3, n)).astype(np.uint8)
+    zs = np.stack([rng.integers(0, a, n) for a in set_arities]).astype(np.uint8)
+    k = min(k, len(set_arities))
+    sets = [tuple(rng.choice(len(set_arities), size=k, replace=False)) for _ in range(n_sets)]
+    px, py = rng.integers(0, 3, n_sets), rng.integers(0, 3, n_sets)
+    counts = rng.integers(1, 5, n).astype(np.float64)
+
+    def kernel(x, y, batch):
+        weights = np.tile(counts, len(batch)) if weighted else None
+        return chi_square_batch(
+            x, rx, y, ry,
+            [zs[[s[j] for s in batch]] for j in range(k)],
+            [[set_arities[v] for v in s] for s in batch], variant, weights,
+        )
+
+    stats, dofs = kernel(xs[px], ys[py], sets)
+    for b, s in enumerate(sets):
+        one_stat, one_dof = kernel(xs[px[b]], ys[py[b]], [s])
+        assert stats[b] == one_stat[0]
+        assert dofs[b] == one_dof[0]
+    # rows per set of one shared pair equal that pair's single row
+    shared, shared_dofs = kernel(xs[0], ys[0], sets)
+    stacked, stacked_dofs = kernel(xs[[0] * n_sets], ys[[0] * n_sets], sets)
+    assert shared.tolist() == stacked.tolist()
+    assert shared_dofs.tolist() == stacked_dofs.tolist()
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.99])
 @pytest.mark.parametrize("dof", [1, 2, 3, 7, 40, 300])
 def test_independence_decision_equals_the_tail_comparison(dof, alpha):

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,10 +16,11 @@ from helpers import (
     observed_independence_facts,
     random_dag,
     separated_by_paths,
+    xray_like_standin,
 )
 from pagaudit import fci as fci_module
 from pagaudit.citests import GSQUARED, PEARSON, CiOracle, CiTestResult, chi_square_test
-from pagaudit.data import Column, Dataset
+from pagaudit.data import Column, CountTable, Dataset
 from pagaudit.errors import (
     InputError,
     InternalConsistencyError,
@@ -41,9 +44,11 @@ from pagaudit.graph import (
     Mark,
     MixedGraph,
     descendants,
+    to_json,
     validate,
 )
 from pagaudit.simgen import truth_dag
+from pagaudit.stability import bootstrap_replicate
 
 OBS4 = ("H", "V", "R", "Yhat")
 
@@ -150,6 +155,93 @@ def test_test_errors_carry_the_query():
         skeleton_search(tester, ("a", "b"), FciConfig())
     assert "a _||_ b" in str(err.value)
     assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_a_failing_score_ahead_call_names_its_first_query():
+    # four noisy copies of one column: no pair is independent given the empty
+    # set, so depth 1 opens with one score-ahead call over every pair's sets
+    rng = np.random.default_rng(3)
+    base = rng.integers(0, 2, 400)
+    columns = [np.where(rng.random(400) < 0.1, 1 - base, base) for _ in range(4)]
+    d = Dataset([Column(f"c{i}", "cat", v, 2) for i, v in enumerate(columns)])
+    tester = CiTester(d, FciConfig(test="chi2"))
+    decide, calls = tester._decide, []
+
+    def fails_at_depth_1(x, y, subsets):
+        calls.append((x, y, list(subsets)))
+        if any(subsets):
+            raise ValueError("boom")
+        return decide(x, y, subsets)
+
+    tester._decide = fails_at_depth_1
+    with pytest.raises(ValueError) as err:
+        skeleton_search(tester, d.names, FciConfig())
+    x, y, subsets = calls[-1]
+    assert len(set(zip(x, y))) > 1  # one call over several pairs
+    assert str(err.value) == (
+        f"boom [while testing c0 _||_ c1 | ['c2'] (or one of the {len(subsets) - 1} sets after it)]"
+    )
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def _fci_outputs(result):
+    seps = [(pair, sorted(e.nodes), e.from_knowledge) for pair, e in result.sepsets.items()]
+    return to_json(result.graph), seps, asdict(result.diagnostics)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.one_of(st.integers(1, 40), st.integers(2_000, 9_000)),
+    arities=st.lists(st.integers(1, 3), min_size=3, max_size=7),
+    max_cond_size=st.sampled_from([None, 0, 2]),
+    pds=st.booleans(),
+    test=st.sampled_from(["chi2", "g2"]),
+    knowledge=st.integers(0, 3),
+)
+def test_scoring_ahead_changes_no_output(seed, n, arities, max_cond_size, pds, test, knowledge):
+    # noisy copies along a chain and of the first column keep some pairs
+    # dependent; arity-1 columns are constant; bit 0 of ``knowledge`` forbids
+    # an adjacency and bit 1 requires one
+    rng = np.random.default_rng(seed)
+    columns = [rng.integers(0, arities[0], n)]
+    for a in arities[1:]:
+        source = columns[rng.integers(0, len(columns))]
+        columns.append(np.where(rng.random(n) < 0.3, rng.integers(0, a, n), source % a))
+    names = [f"c{i}" for i in range(len(arities))]
+    d = Dataset([Column(nm, "cat", v, a) for nm, v, a in zip(names, columns, arities)])
+    pairs = [frozenset(p) for p in itertools.combinations(names, 2)]
+    picked = rng.choice(len(pairs), size=2, replace=False)
+    know = BackgroundKnowledge(
+        forbidden_adjacencies={pairs[picked[0]]} if knowledge & 1 else set(),
+        required_adjacencies={pairs[picked[1]]} if knowledge & 2 else set(),
+    )
+    cfg = FciConfig(max_cond_size=max_cond_size, enable_possible_dsep=pds, test=test)
+    scored = _fci_outputs(fci_run(d, know, cfg))
+    with mock.patch.object(CiTester, "score_ahead", lambda self, walks: None):
+        assert _fci_outputs(fci_run(d, know, cfg)) == scored
+
+
+def test_xray8_replicates_take_few_kernel_calls(monkeypatch):
+    # the 8-column stand-in's replicates are bound by per-call overhead: on
+    # these 40 replicates the walks alone make 51.7 kernel calls per
+    # replicate, and with score-ahead 7.3
+    calls = 0
+    kernel = fci_module.chi_square_batch
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(fci_module, "chi_square_batch", counted)
+    replicates = 0
+    for seed in range(5):
+        table = CountTable.of(xray_like_standin(seed))
+        for i in range(8):
+            fci_run(bootstrap_replicate(table, 1, i), cfg=FciConfig(test="chi2"), target="label")
+            replicates += 1
+    assert calls <= 12 * replicates
 
 
 @settings(max_examples=60, deadline=None)
