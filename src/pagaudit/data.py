@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -222,10 +223,10 @@ def parse_schema(text: str) -> dict[str, tuple[str, int | None]]:
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 file's text; a path that cannot be read or decoded is an
-    InputError naming it."""
+    """A UTF-8 file's text, without a leading byte order mark; a path that
+    cannot be read or decoded is an InputError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -247,24 +248,101 @@ def read_csv(path: str | Path, schema: dict[str, tuple[str, int | None]]) -> Dat
     return read_csv_text(read_text(path), schema, source=str(path))
 
 
+_CSV_BLOCK = 1 << 11  # rows that read_csv_text decodes and write_csv formats at a time
+_LEVELS_CAP = 1 << 12  # levels read_csv_text looks up; a cell past them takes the row loop
+
+
 def read_csv_text(
     text: str, schema: dict[str, tuple[str, int | None]], source: str = "<csv>"
 ) -> Dataset:
+    """Parse header-first CSV text under the given schema.
+
+    Data rows are decoded a column at a time, in blocks of _CSV_BLOCK rows: a
+    categorical cell must spell a level as write_csv does (``"0"`` ..
+    ``str(arity - 1)``) and a continuous cell must parse with ``float``.  Any
+    other text, such as a padded or signed level, an empty cell, a row of the
+    wrong width or a csv error, hands the whole text to _read_csv_rows, which
+    accepts or rejects it cell by cell and reports the first fault.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = [h.strip() for h in next(reader, [])]
+    header = _read_header(reader, schema, source)
+    kinds = [schema[name] for name in header]
+    columns = _decode_columns(reader, kinds)
+    if columns is None:
+        return _read_csv_rows(text, schema, source)
+    return Dataset(
+        [
+            Column(name, kind, values, arity)
+            for name, (kind, arity), values in zip(header, kinds, columns)
+        ]
+    )
+
+
+def _decode_columns(reader, kinds) -> list[np.ndarray] | None:
+    """The data rows of ``reader`` as one array per column, or None if no
+    row is left or any row or cell is not in canonical form."""
+    width = len(kinds)
+    decoders = [
+        (
+            {str(v): v for v in range(min(arity, _LEVELS_CAP))}.__getitem__
+            if kind == CATEGORICAL
+            else float,
+            np.int64 if kind == CATEGORICAL else np.float64,
+        )
+        for kind, arity in kinds
+    ]
+    parts: list[list[np.ndarray]] = [[] for _ in kinds]
+    n = 0
+    try:
+        while block := list(itertools.islice(reader, _CSV_BLOCK)):
+            widths = set(map(len, block))
+            if widths != {width}:
+                if not widths <= {0, width}:
+                    return None
+                block = [row for row in block if row]  # csv yields [] for a blank line
+            flat = list(itertools.chain.from_iterable(block))
+            for j, ((decode, dtype), part) in enumerate(zip(decoders, parts)):
+                part.append(np.fromiter(map(decode, flat[j::width]), dtype, len(block)))
+            n += len(block)
+    except (KeyError, ValueError, csv.Error):
+        return None
+    return [np.concatenate(part) for part in parts] if n else None
+
+
+def _read_header(reader, schema, source: str) -> list[str]:
+    """The stripped column names of the first row, each one in the schema."""
+    try:
+        header = [h.strip() for h in next(reader, [])]
+    except csv.Error as exc:
+        raise InputError(f"{source} line {reader.line_num}: {exc}") from None
     if not header:
         raise InputError(f"{source}: empty file or header")
     missing = [h for h in header if h not in schema]
     if missing:
         raise SchemaError(f"{source}: columns not in schema: {missing}")
+    return header
+
+
+def _read_csv_rows(
+    text: str, schema: dict[str, tuple[str, int | None]], source: str
+) -> Dataset:
+    """read_csv_text one row and one cell at a time: cells are stripped and
+    parsed with ``int`` or ``float``, and the first fault is reported."""
+    reader = csv.reader(io.StringIO(text))
+    header = _read_header(reader, schema, source)
     raw: list[list[str]] = [[] for _ in header]
-    for ln, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise InputError(f"{source} line {ln}: expected {len(header)} fields, got {len(row)}")
-        for cell, bucket in zip(row, raw):
-            bucket.append(cell.strip())
+    try:
+        for ln, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(
+                    f"{source} line {ln}: expected {len(header)} fields, got {len(row)}"
+                )
+            for cell, bucket in zip(row, raw):
+                bucket.append(cell.strip())
+    except csv.Error as exc:
+        raise InputError(f"{source} line {reader.line_num}: {exc}") from None
     if not raw[0]:
         raise InputError(f"{source}: no data rows")
     columns = []
@@ -281,9 +359,6 @@ def read_csv_text(
             raise InputError(f"{source}: column {name!r}: {exc}") from None
         columns.append(Column(name, kind, values, arity))
     return Dataset(columns)
-
-
-_CSV_BLOCK = 1 << 11  # rows that write_csv formats at a time
 
 
 def write_csv(d: Dataset, path: str | Path) -> None:

@@ -7,12 +7,15 @@ and rule machinery in the package.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
 import numpy as np
 
-from pagaudit.data import Column, Dataset
+from pagaudit.data import CATEGORICAL, Column, Dataset
+from pagaudit.errors import InputError, SchemaError
 from pagaudit.graph import GraphKind, Mark, MixedGraph
 
 ARROW, TAIL, CIRCLE = Mark.ARROW, Mark.TAIL, Mark.CIRCLE
@@ -461,3 +464,48 @@ def xray_like_standin(seed, n=239):
     cols = [Column(f"f{i}", "cat", v, 2) for i, v in enumerate(findings)]
     cols.append(Column("label", "cat", label, 2))
     return Dataset(cols)
+
+
+# -- CSV reference ---------------------------------------------------------------
+
+
+def reference_read_csv_text(text, schema, source="<csv>"):
+    """CSV text to a Dataset one row and one cell at a time: blank rows are
+    skipped, every other row must have the header's width, cells are stripped
+    and parsed with int or float, and the first fault raises."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise InputError(f"{source}: empty file or header")
+        missing = [h for h in header if h not in schema]
+        if missing:
+            raise SchemaError(f"{source}: columns not in schema: {missing}")
+        raw = [[] for _ in header]
+        for ln, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InputError(
+                    f"{source} line {ln}: expected {len(header)} fields, got {len(row)}"
+                )
+            for cell, bucket in zip(row, raw):
+                bucket.append(cell.strip())
+    except csv.Error as exc:
+        raise InputError(f"{source} line {reader.line_num}: {exc}") from None
+    if not raw[0]:
+        raise InputError(f"{source}: no data rows")
+    columns = []
+    for name, cells in zip(header, raw):
+        kind, arity = schema[name]
+        if any(c == "" for c in cells):
+            raise InputError(f"{source}: missing value in column {name!r}")
+        try:
+            if kind == CATEGORICAL:
+                values = np.array([int(c) for c in cells], dtype=np.int64)
+            else:
+                values = np.array([float(c) for c in cells], dtype=np.float64)
+        except ValueError as exc:
+            raise InputError(f"{source}: column {name!r}: {exc}") from None
+        columns.append(Column(name, kind, values, arity))
+    return Dataset(columns)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -158,6 +159,30 @@ def test_discover_non_utf8_csv_exits_2_naming_the_path(tmp_path, capsys):
     assert run(["discover", "--data", str(bad), "--out", str(tmp_path / "x.dot")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error (input): ") and str(bad) in err and "UTF-8" in err
+
+
+def test_discover_oversized_csv_field_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text("H,V\n0,1\n0," + "1" * (csv.field_size_limit() + 1) + "\n")
+    Path(str(bad) + ".schema").write_text("H:cat:2\nV:cat:2\n")
+    assert run(["discover", "--data", str(bad), "--out", str(tmp_path / "x.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): ") and f"{bad} line 3: field larger" in err
+    assert "Traceback" not in err
+
+
+def test_discover_reads_files_saved_with_a_byte_order_mark(tmp_path):
+    data = _simulated(tmp_path, n=300)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    Path(str(marked) + ".schema").write_bytes(
+        b"\xef\xbb\xbf" + Path(str(data) + ".schema").read_bytes()
+    )
+    for path, out in ((data, tmp_path / "plain.json"), (marked, tmp_path / "marked.json")):
+        assert run(["discover", "--data", str(path), "--format", "json", "--out", str(out)]) == 0
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "marked.json").read_bytes()
+    manifest = json.loads(Path(str(tmp_path / "marked.json") + ".manifest.json").read_text())
+    assert manifest["inputs"][str(marked)] == digest(marked)  # the raw bytes, mark included
 
 
 def test_stability_cli_outputs_and_thread_invariance(tmp_path):

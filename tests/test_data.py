@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_read_csv_text
+from pagaudit import data
 from pagaudit.data import (
+    _CSV_BLOCK,
     Column,
     CountTable,
     Dataset,
@@ -54,7 +57,11 @@ def test_read_csv_rejects_missing_and_malformed():
     with pytest.raises(InputError):
         read_csv_text("a,b,x\n0,1,oops\n", SCHEMA)  # non-numeric continuous
     with pytest.raises(InputError):
+        read_csv_text("a,b,x\n1.0,1,1.0\n", SCHEMA)  # categorical cell as a float
+    with pytest.raises(InputError):
         read_csv_text("\n", SCHEMA)  # blank header
+    with pytest.raises(InputError, match="line 2: new-line character"):
+        read_csv_text("a,b,x\n0,1,1.0\r1,1,1.0\n", SCHEMA)  # lone carriage return
 
 
 def test_categorical_range_enforced():
@@ -158,3 +165,132 @@ def test_count_table_needs_categorical_columns():
     d = Dataset([Column("a", "cat", np.array([0, 1]), 2), Column("x", "cont", [0.5, 1.5])])
     with pytest.raises(InputError, match="'x'"):
         CountTable.of(d)
+
+
+# -- read_csv_text against the row-at-a-time reference ----------------------------
+
+CSV_SCHEMA = {"a": ("cat", 2), "b": ("cat", 3), "c": ("cat", 12), "x": ("cont", None)}
+# cells in canonical form, then cells that are not: padded, signed, quoted,
+# empty, non-numbers, a carriage return inside a field
+CANONICAL = {
+    "cat": lambda arity: st.integers(0, arity - 1).map(str),
+    "cont": lambda _: st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-5, 5).map(str)
+    ),
+}
+ODD = {
+    "cat": st.one_of(
+        st.integers(0, 12).map(str),
+        st.sampled_from([" 1", "1 ", "01", "+1", "-0", "-1", '"1"', '"1,0"', "1.0", "1_0"]),
+        st.sampled_from(["", "  ", "zap", "\u0661", "0x1", "1\r0"]),
+    ),
+    "cont": st.one_of(
+        st.sampled_from(["1e3", " 2.5", "2.5 ", '"0.5"', "-0", "1_0", "nan", "inf", "-inf"]),
+        st.sampled_from(["", "  ", "zap", "1,5", "1\r0"]),
+    ),
+}
+
+
+def _filler(header, k):
+    """k rows of canonical cells."""
+    levels = {"a": "1", "b": "2", "c": "11", "x": "0.5"}
+    return [",".join(levels[h] for h in header)] * k
+
+
+@st.composite
+def csv_texts(draw):
+    """Header-first CSV over some of CSV_SCHEMA's columns: mostly canonical
+    rows, each other row with one fault, and runs of about _CSV_BLOCK rows."""
+    header = draw(
+        st.lists(st.sampled_from(sorted(CSV_SCHEMA)), min_size=1, max_size=4, unique=True)
+    )
+    kinds = [CSV_SCHEMA[h] for h in header]
+
+    def row():
+        out = [draw(CANONICAL[kind](arity)) for kind, arity in kinds]
+        fault = draw(st.sampled_from([None] * 6 + ["cell", "blank", "spaces", "short", "long"]))
+        if fault == "cell":
+            j = draw(st.integers(0, len(out) - 1))
+            out[j] = draw(ODD[kinds[j][0]])
+        return {
+            "blank": "",
+            "spaces": "   ",
+            "short": ",".join(out[:-1]),
+            "long": ",".join(out + ["0"]),
+        }.get(fault, ",".join(out))
+
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            lines += _filler(header, _CSV_BLOCK + draw(st.integers(-1, 1)))
+        else:
+            lines += [row() for _ in range(draw(st.integers(0, 5)))]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([",".join(header)] + lines) + eol * draw(st.integers(0, 2))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, CSV_SCHEMA, source="t.csv")
+    except Exception as exc:  # the exception's type and message are the outcome
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(text):
+    got, want = _outcome(read_csv_text, text), _outcome(reference_read_csv_text, text)
+    if isinstance(want, Dataset):
+        assert isinstance(got, Dataset) and got == want
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=csv_texts())
+def test_read_csv_text_matches_the_row_reference(text):
+    _assert_matches_reference(text)
+
+
+def test_width_error_in_a_later_block_comes_before_a_bad_cell():
+    header = ["a", "x"]
+    text = "\n".join(
+        ["a,x"]
+        + _filler(header, _CSV_BLOCK + 5)
+        + ["7,0.5"]  # out of range, in the second block
+        + _filler(header, _CSV_BLOCK)
+        + ["1"]  # short, in the third block
+        + _filler(header, 3)
+    )
+    with pytest.raises(InputError, match=f"line {2 * _CSV_BLOCK + 8}: expected 2 fields, got 1"):
+        read_csv_text(text, CSV_SCHEMA)
+    _assert_matches_reference(text)
+
+
+def test_one_column_blank_line_is_skipped_but_spaces_are_a_missing_value():
+    assert read_csv_text("a\n1\n\n0\n", CSV_SCHEMA).col("a").values.tolist() == [1, 0]
+    with pytest.raises(InputError, match="missing value in column 'a'"):
+        read_csv_text("a\n1\n  \n0\n", CSV_SCHEMA)
+    for text in ("a\n1\n\n0\n", "a\n1\n  \n0\n", 'a\n""\n'):
+        _assert_matches_reference(text)
+
+
+def test_canonical_text_is_decoded_without_the_row_loop(monkeypatch):
+    rng = np.random.default_rng(0)
+    n = 3 * _CSV_BLOCK + 7
+    d = Dataset(
+        [
+            Column("a", "cat", rng.integers(0, 2, n), 2),
+            Column("c", "cat", rng.integers(0, 12, n), 12),
+            Column("x", "cont", rng.normal(size=n).round(6)),
+        ]
+    )
+    text = "a,c,x\n" + "".join(
+        f"{a},{c},{x!r}\n" for a, c, x in zip(*(col.values.tolist() for col in d.columns))
+    )
+    monkeypatch.setattr(data, "_read_csv_rows", None)  # calling it would raise
+    assert read_csv_text(text, CSV_SCHEMA) == d
+
+
+def test_levels_past_the_lookup_cap_take_the_row_loop():
+    big = {"g": ("cat", 10**9)}
+    d = read_csv_text(f"g\n0\n{10**9 - 1}\n", big)
+    assert d.col("g").values.tolist() == [0, 10**9 - 1]
