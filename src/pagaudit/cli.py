@@ -44,24 +44,35 @@ EXIT_INTERNAL = 4
 BUILTIN_TRUTHS = ("fig4a", "shapes")
 
 
-def _env_alpha() -> float:
-    raw = os.environ.get("PAGAUDIT_ALPHA")
-    if raw is None:
-        return 0.05
-    try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"PAGAUDIT_ALPHA is not a number: {raw!r}") from None
+# The type of each parameter a command reads from a manifest; one that may be
+# None may also be absent.
+_FCI_PARAMS = dict(alpha=float | int, max_cond_size=int | None, test=str, no_possible_dsep=bool)
+_INPUT_PARAMS = dict(data=str, schema=str | None, knowledge=str | None)
+_MANIFEST_PARAMS = {
+    "simulate": dict(n=int, seed=int, include_c=bool, mode=str, out=str),
+    "discover": dict(**_INPUT_PARAMS, target=str | None, **_FCI_PARAMS, format=str, out=str),
+    "stability": dict(
+        **_INPUT_PARAMS, target=str, replicates=int, base_seed=int,
+        subsample_fraction=float | int | None, **_FCI_PARAMS, out=str,
+    ),
+    "oracle": dict(
+        truth=str, observe=str, knowledge=str | None, target=str | None,
+        max_cond_size=int | None, format=str, out=str,
+    ),
+}
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("PAGAUDIT_SEED")
+def _env_number(name: str, parse: type, default):
+    """The environment variable ``name`` parsed with ``int`` or ``float``,
+    or ``default`` when it is unset."""
+    raw = os.environ.get(name)
     if raw is None:
-        return 0
+        return default
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError:
-        raise InputError(f"PAGAUDIT_SEED is not an integer: {raw!r}") from None
+        what = "an integer" if parse is int else "a number"
+        raise InputError(f"{name} is not {what}: {raw!r}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -111,6 +122,15 @@ def _graph_text(g: MixedGraph, fmt: str) -> str:
     raise InputError(f"unknown output format {fmt!r}")
 
 
+def _fci_config(params: dict) -> FciConfig:
+    return FciConfig(
+        alpha=params["alpha"],
+        max_cond_size=params.get("max_cond_size"),
+        enable_possible_dsep=not params["no_possible_dsep"],
+        test=params["test"],
+    )
+
+
 # -- command handlers ----------------------------------------------------------
 
 
@@ -131,12 +151,7 @@ def cmd_simulate(params: dict) -> None:
 def cmd_discover(params: dict) -> None:
     d, inputs = _load_dataset(params["data"], params.get("schema"))
     knowledge, kinputs = _load_knowledge(params.get("knowledge"), d.names)
-    cfg = FciConfig(
-        alpha=params["alpha"],
-        max_cond_size=params["max_cond_size"],
-        enable_possible_dsep=not params["no_possible_dsep"],
-        test=params["test"],
-    )
+    cfg = _fci_config(params)
     result = fci_run(d, knowledge=knowledge, cfg=cfg, target=params.get("target"))
     out = Path(params["out"])
     write_text(out, _graph_text(result.graph, params["format"]))
@@ -155,12 +170,7 @@ def cmd_stability(params: dict) -> None:
         target=target,
         replicates=int(params["replicates"]),
         base_seed=int(params["base_seed"]),
-        fci=FciConfig(
-            alpha=params["alpha"],
-            max_cond_size=params["max_cond_size"],
-            enable_possible_dsep=not params["no_possible_dsep"],
-            test=params["test"],
-        ),
+        fci=_fci_config(params),
         subsample_fraction=params.get("subsample_fraction"),
     )
     report = run_stability(d, cfg, knowledge=knowledge)
@@ -192,7 +202,7 @@ def cmd_oracle(params: dict) -> None:
         raise InputError("need at least two observed nodes")
     oracle = CiOracle(truth, tuple(observed))
     knowledge, kinputs = _load_knowledge(params.get("knowledge"), observed)
-    cfg = FciConfig(alpha=0.05, max_cond_size=params["max_cond_size"], test="oracle")
+    cfg = FciConfig(alpha=0.05, max_cond_size=params.get("max_cond_size"), test="oracle")
     result = fci_run(oracle, knowledge=knowledge, cfg=cfg, target=params.get("target"))
     out = Path(params["out"])
     write_text(out, _graph_text(result.graph, params["format"]))
@@ -214,14 +224,26 @@ def cmd_rerun(manifest_path: str) -> None:
         raise InputError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(read_text(path))
-        command = manifest["command"]
-        params = manifest["parameters"]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except json.JSONDecodeError as exc:
         raise InputError(f"malformed manifest: {exc}") from exc
-    handler = HANDLERS.get(command)
-    if handler is None:
+    if not isinstance(manifest, dict):
+        raise InputError("malformed manifest: not a JSON object")
+    for key in ("command", "parameters"):
+        if key not in manifest:
+            raise InputError(f"malformed manifest: no {key!r}")
+    command, params = manifest["command"], manifest["parameters"]
+    if not isinstance(command, str) or command not in HANDLERS:
         raise InputError(f"manifest names unknown command {command!r}")
-    handler(params)
+    if not isinstance(params, dict):
+        raise InputError("malformed manifest: 'parameters' is not a JSON object")
+    for key, kind in _MANIFEST_PARAMS[command].items():
+        if not isinstance(params.get(key), kind):
+            got = repr(params[key]) if key in params else "no value"
+            raise InputError(
+                f"malformed manifest: {command} parameter {key!r} must be "
+                f"{getattr(kind, '__name__', kind)}, got {got}"
+            )
+    HANDLERS[command](params)
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -286,11 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_params(args: argparse.Namespace) -> dict:
     params = {k: v for k, v in vars(args).items() if k != "command"}
     if "alpha" in params and params["alpha"] is None:
-        params["alpha"] = _env_alpha()
-    if "seed" in params and params["seed"] is None:
-        params["seed"] = _env_seed()
-    if "base_seed" in params and params["base_seed"] is None:
-        params["base_seed"] = _env_seed()
+        params["alpha"] = _env_number("PAGAUDIT_ALPHA", float, 0.05)
+    for key in ("seed", "base_seed"):
+        if key in params and params[key] is None:
+            params[key] = _env_number("PAGAUDIT_SEED", int, 0)
     return params
 
 

@@ -249,64 +249,90 @@ def read_csv(path: str | Path, schema: dict[str, tuple[str, int | None]]) -> Dat
 
 
 _CSV_BLOCK = 1 << 11  # rows that read_csv_text decodes and write_csv formats at a time
-_LEVELS_CAP = 1 << 12  # levels read_csv_text looks up; a cell past them takes the row loop
+_LEVELS_CAP = 1 << 12  # levels read_csv_text looks up; a cell past them is parsed cell by cell
 
 
 def read_csv_text(
     text: str, schema: dict[str, tuple[str, int | None]], source: str = "<csv>"
 ) -> Dataset:
-    """Parse header-first CSV text under the given schema.
+    """Parse header-first CSV text under the given schema, in one pass.
 
-    Data rows are decoded a column at a time, in blocks of _CSV_BLOCK rows: a
-    categorical cell must spell a level as write_csv does (``"0"`` ..
-    ``str(arity - 1)``) and a continuous cell must parse with ``float``.  Any
-    other text, such as a padded or signed level, an empty cell, a row of the
-    wrong width or a csv error, hands the whole text to _read_csv_rows, which
-    accepts or rejects it cell by cell and reports the first fault.
+    Rows are read in blocks of _CSV_BLOCK and decoded a column slice at a
+    time, in one call when every categorical cell spells a level as
+    write_csv does (``"0"`` .. ``str(arity - 1)``) and every continuous cell
+    parses with ``float``.  A slice with any other cell, such as a padded or
+    signed level or an empty cell, goes to _parse_cells; only that slice is
+    parsed cell by cell.  Blank lines are skipped.  The first fault raises:
+    a row of the wrong width or a csv error, in file order; then "no data
+    rows"; then, column by column, a missing value, a cell that does not
+    parse, and the Column's own checks.
     """
     reader = csv.reader(io.StringIO(text))
     header = _read_header(reader, schema, source)
     kinds = [schema[name] for name in header]
-    columns = _decode_columns(reader, kinds)
-    if columns is None:
-        return _read_csv_rows(text, schema, source)
-    return Dataset(
-        [
-            Column(name, kind, values, arity)
-            for name, (kind, arity), values in zip(header, kinds, columns)
-        ]
-    )
-
-
-def _decode_columns(reader, kinds) -> list[np.ndarray] | None:
-    """The data rows of ``reader`` as one array per column, or None if no
-    row is left or any row or cell is not in canonical form."""
-    width = len(kinds)
     decoders = [
         (
-            {str(v): v for v in range(min(arity, _LEVELS_CAP))}.__getitem__
+            ({str(v): v for v in range(min(arity, _LEVELS_CAP))}.__getitem__, int, np.int64)
             if kind == CATEGORICAL
-            else float,
-            np.int64 if kind == CATEGORICAL else np.float64,
+            else (float, float, np.float64)
         )
         for kind, arity in kinds
     ]
-    parts: list[list[np.ndarray]] = [[] for _ in kinds]
+    width = len(header)
+    parts: list[list[np.ndarray]] = [[] for _ in header]
+    missing = [False] * width  # whether a column has an empty cell
+    errors: list[str | None] = [None] * width  # a column's first cell that does not parse
     n = 0
-    try:
-        while block := list(itertools.islice(reader, _CSV_BLOCK)):
-            widths = set(map(len, block))
-            if widths != {width}:
-                if not widths <= {0, width}:
-                    return None
-                block = [row for row in block if row]  # csv yields [] for a blank line
-            flat = list(itertools.chain.from_iterable(block))
-            for j, ((decode, dtype), part) in enumerate(zip(decoders, parts)):
-                part.append(np.fromiter(map(decode, flat[j::width]), dtype, len(block)))
-            n += len(block)
-    except (KeyError, ValueError, csv.Error):
-        return None
-    return [np.concatenate(part) for part in parts] if n else None
+    for line in itertools.count(2, _CSV_BLOCK):  # the block's first row; the header is row 1
+        block, fault = [], None
+        try:
+            block.extend(itertools.islice(reader, _CSV_BLOCK))  # keeps the rows before an error
+        except csv.Error as exc:
+            fault = InputError(f"{source} line {reader.line_num}: {exc}")
+        if not set(map(len, block)) <= {0, width}:  # csv yields [] for a blank line
+            ln, row = next((ln, r) for ln, r in enumerate(block, line) if len(r) not in (0, width))
+            raise InputError(f"{source} line {ln}: expected {width} fields, got {len(row)}")
+        if fault is not None:
+            raise fault
+        flat = list(itertools.chain.from_iterable(block))
+        for j, (decode, parse, dtype) in enumerate(decoders):
+            cells = flat[j::width]
+            try:
+                values = np.fromiter(map(decode, cells), dtype, len(cells))
+            except (KeyError, ValueError):
+                values, empty, error = _parse_cells(cells, parse, dtype)
+                missing[j] |= empty
+                errors[j] = errors[j] or error
+            parts[j].append(values)
+        n += len(flat) // width
+        if len(block) < _CSV_BLOCK:
+            break
+    if not n:
+        raise InputError(f"{source}: no data rows")
+    columns = []
+    for name, (kind, arity), part, empty, error in zip(header, kinds, parts, missing, errors):
+        if empty:
+            raise InputError(f"{source}: missing value in column {name!r}")
+        if error:
+            raise InputError(f"{source}: column {name!r}: {error}")
+        columns.append(Column(name, kind, np.concatenate(part), arity))
+    return Dataset(columns)
+
+
+def _parse_cells(cells: list[str], parse, dtype) -> tuple[np.ndarray, bool, str | None]:
+    """A column slice parsed one cell at a time: each cell is stripped and
+    parsed with ``parse``, and a cell that fails reads 0.  Also whether a
+    cell was empty, and the message of the first cell that did not parse."""
+    values, empty, error = [], False, None
+    for cell in cells:
+        cell = cell.strip()
+        try:
+            values.append(parse(cell))
+        except ValueError as exc:
+            values.append(0)
+            empty |= not cell
+            error = error or str(exc)
+    return np.array(values, dtype), empty, error
 
 
 def _read_header(reader, schema, source: str) -> list[str]:
@@ -321,44 +347,6 @@ def _read_header(reader, schema, source: str) -> list[str]:
     if missing:
         raise SchemaError(f"{source}: columns not in schema: {missing}")
     return header
-
-
-def _read_csv_rows(
-    text: str, schema: dict[str, tuple[str, int | None]], source: str
-) -> Dataset:
-    """read_csv_text one row and one cell at a time: cells are stripped and
-    parsed with ``int`` or ``float``, and the first fault is reported."""
-    reader = csv.reader(io.StringIO(text))
-    header = _read_header(reader, schema, source)
-    raw: list[list[str]] = [[] for _ in header]
-    try:
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(
-                    f"{source} line {ln}: expected {len(header)} fields, got {len(row)}"
-                )
-            for cell, bucket in zip(row, raw):
-                bucket.append(cell.strip())
-    except csv.Error as exc:
-        raise InputError(f"{source} line {reader.line_num}: {exc}") from None
-    if not raw[0]:
-        raise InputError(f"{source}: no data rows")
-    columns = []
-    for name, cells in zip(header, raw):
-        kind, arity = schema[name]
-        if any(c == "" for c in cells):
-            raise InputError(f"{source}: missing value in column {name!r}")
-        try:
-            if kind == CATEGORICAL:
-                values = np.array([int(c) for c in cells], dtype=np.int64)
-            else:
-                values = np.array([float(c) for c in cells], dtype=np.float64)
-        except ValueError as exc:
-            raise InputError(f"{source}: column {name!r}: {exc}") from None
-        columns.append(Column(name, kind, values, arity))
-    return Dataset(columns)
 
 
 def write_csv(d: Dataset, path: str | Path) -> None:

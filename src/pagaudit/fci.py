@@ -663,9 +663,9 @@ def possible_dsep_prune(
 
 
 def _reset_marks(g: MixedGraph) -> None:
-    for e in g.edges():
-        g.set_mark(e.a, e.b, Mark.CIRCLE)
-        g.set_mark(e.b, e.a, Mark.CIRCLE)
+    for i, j in g.edge_mark_pairs():
+        g.set_mark(i, j, Mark.CIRCLE)
+        g.set_mark(j, i, Mark.CIRCLE)
 
 
 # -- orientation rules ---------------------------------------------------------------

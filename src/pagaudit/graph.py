@@ -92,20 +92,18 @@ class MixedGraph:
         self.names = names
         self.kind = GraphKind(kind)
         self._index = {name: i for i, name in enumerate(names)}
-        # marks[(i, j)] with i < j -> (mark at i, mark at j)
-        self._marks: dict[tuple[int, int], tuple[Mark, Mark]] = {}
-        self._adj: list[set[int]] = [set() for _ in names]
+        self._index.update((i, i) for i in range(len(names)))  # an index maps to itself
+        # nbrs[i][j] -> the mark at i on the edge between i and j
+        self._nbrs: list[dict[int, Mark]] = [{} for _ in names]
 
     # -- node handling -----------------------------------------------------
 
     def index(self, node: str | int) -> int:
-        if isinstance(node, int):
-            if not 0 <= node < len(self.names):
-                raise InputError(f"node index {node} out of range")
-            return node
         try:
             return self._index[node]
         except KeyError:
+            if isinstance(node, int):
+                raise InputError(f"node index {node} out of range") from None
             raise InputError(f"unknown node {node!r}") from None
 
     @property
@@ -118,13 +116,9 @@ class MixedGraph:
         i, j = self.index(a), self.index(b)
         if i == j:
             raise InputError(f"self-loop on {self.names[i]!r}")
-        key = (i, j) if i < j else (j, i)
-        if key in self._marks:
+        if j in self._nbrs[i]:
             raise InputError(f"duplicate edge {self.names[i]!r}--{self.names[j]!r}")
-        pair = (mark_a, mark_b) if i < j else (mark_b, mark_a)
-        self._marks[key] = (Mark(pair[0]), Mark(pair[1]))
-        self._adj[i].add(j)
-        self._adj[j].add(i)
+        self._nbrs[i][j], self._nbrs[j][i] = Mark(mark_a), Mark(mark_b)
 
     def add_directed_edge(self, a: str | int, b: str | int) -> None:
         """Add ``a -> b`` (tail at ``a``, arrow at ``b``)."""
@@ -140,69 +134,61 @@ class MixedGraph:
 
     def remove_edge(self, a: str | int, b: str | int) -> None:
         i, j = self.index(a), self.index(b)
-        key = (i, j) if i < j else (j, i)
-        if key not in self._marks:
+        if j not in self._nbrs[i]:
             raise InputError(f"no edge {self.names[i]!r}--{self.names[j]!r}")
-        del self._marks[key]
-        self._adj[i].discard(j)
-        self._adj[j].discard(i)
+        del self._nbrs[i][j], self._nbrs[j][i]
 
     def set_mark(self, at: str | int, other: str | int, mark: Mark) -> None:
         """Set the mark at node ``at`` on the edge between ``at`` and ``other``."""
         i, j = self.index(at), self.index(other)
-        key = (i, j) if i < j else (j, i)
-        if key not in self._marks:
+        if j not in self._nbrs[i]:
             raise InputError(f"no edge {self.names[i]!r}--{self.names[j]!r}")
-        mi, mj = self._marks[key]
-        if key[0] == i:
-            self._marks[key] = (Mark(mark), mj)
-        else:
-            self._marks[key] = (mi, Mark(mark))
+        self._nbrs[i][j] = Mark(mark)
 
     # -- queries -------------------------------------------------------------
 
     def adjacent(self, a: str | int, b: str | int) -> bool:
-        i, j = self.index(a), self.index(b)
-        return j in self._adj[i]
+        return self.index(b) in self._nbrs[self.index(a)]
 
     def mark_at(self, at: str | int, other: str | int) -> Mark:
         """Mark at node ``at`` on the edge between ``at`` and ``other``."""
         i, j = self.index(at), self.index(other)
-        key = (i, j) if i < j else (j, i)
         try:
-            mi, mj = self._marks[key]
+            return self._nbrs[i][j]
         except KeyError:
             raise InputError(f"no edge {self.names[i]!r}--{self.names[j]!r}") from None
-        return mi if key[0] == i else mj
 
     def neighbors(self, node: str | int) -> list[int]:
         """Adjacent node indices in node order."""
-        return sorted(self._adj[self.index(node)])
+        return sorted(self._nbrs[self.index(node)])
 
     def edges(self) -> list[Edge]:
         """Edges sorted by node-index pair."""
-        out = []
-        for (i, j) in sorted(self._marks):
-            mi, mj = self._marks[(i, j)]
-            out.append(Edge(self.names[i], self.names[j], mi, mj))
-        return out
+        return [
+            Edge(self.names[i], self.names[j], mi, mj)
+            for (i, j), (mi, mj) in self.edge_mark_pairs().items()
+        ]
 
     @property
     def n_edges(self) -> int:
-        return len(self._marks)
+        return sum(map(len, self._nbrs)) // 2
 
     def edge_mark_pairs(self) -> dict[tuple[int, int], tuple[Mark, Mark]]:
-        """Copy of the internal (i < j) -> (mark_i, mark_j) map."""
-        return dict(self._marks)
+        """(i, j) with i < j -> (mark at i, mark at j), sorted by pair."""
+        return {
+            (i, j): (nbrs[j], self._nbrs[j][i])
+            for i, nbrs in enumerate(self._nbrs)
+            for j in sorted(nbrs)
+            if i < j
+        }
 
     def copy(self, kind: GraphKind | str | None = None) -> "MixedGraph":
         g = MixedGraph(self.names, self.kind if kind is None else kind)
-        g._marks = dict(self._marks)
-        g._adj = [set(s) for s in self._adj]
+        g._nbrs = [dict(nbrs) for nbrs in self._nbrs]
         return g
 
     def same_structure(self, other: "MixedGraph") -> bool:
-        return self.names == other.names and self._marks == other._marks
+        return self.names == other.names and self._nbrs == other._nbrs
 
     def is_acyclic(self) -> bool:
         """No definite directed cycle (only tail->arrow edges count)."""
@@ -220,13 +206,11 @@ def directed_masks(g: MixedGraph) -> tuple[list[int], list[int]]:
     """
     parents = [0] * g.n_nodes
     children = [0] * g.n_nodes
-    for (i, j), (mi, mj) in g._marks.items():
-        if mi is Mark.TAIL and mj is Mark.ARROW:
-            parents[j] |= 1 << i
-            children[i] |= 1 << j
-        elif mi is Mark.ARROW and mj is Mark.TAIL:
-            parents[i] |= 1 << j
-            children[j] |= 1 << i
+    for i, nbrs in enumerate(g._nbrs):
+        for j, mark in nbrs.items():
+            if mark is Mark.TAIL and g._nbrs[j][i] is Mark.ARROW:
+                parents[j] |= 1 << i
+                children[i] |= 1 << j
     return parents, children
 
 

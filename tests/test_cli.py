@@ -383,6 +383,52 @@ def test_rerun_bad_manifest_exits_2(tmp_path):
     assert run(["rerun", str(tmp_path / "missing.json")]) == 2
 
 
+SIMULATE_PARAMS = {"n": 50, "seed": 1, "include_c": False, "mode": "logistic", "out": "s.csv"}
+
+
+@pytest.mark.parametrize(
+    "manifest, problem",
+    [
+        ([], "not a JSON object"),
+        ({"parameters": {}}, "no 'command'"),
+        ({"command": "discover", "parameters": {}}, "'data' must be str, got no value"),
+        ({"command": "discover", "parameters": "x"}, "'parameters' is not a JSON object"),
+        (
+            {"command": "simulate", "parameters": {**SIMULATE_PARAMS, "n": "abc"}},
+            "simulate parameter 'n' must be int, got 'abc'",
+        ),
+        (
+            {"command": "simulate", "parameters": {**SIMULATE_PARAMS, "out": None}},
+            "simulate parameter 'out' must be str, got None",
+        ),
+    ],
+)
+def test_rerun_malformed_manifest_exits_2_naming_the_problem(
+    tmp_path, monkeypatch, capsys, manifest, problem
+):
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(json.dumps(manifest))
+    assert run(["rerun", "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): malformed manifest: ") and problem in err
+    assert not Path("s.csv").exists()
+
+
+def test_rerun_replays_a_manifest_with_extra_keys_and_absent_nullable_ones(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(
+        json.dumps({"command": "simulate", "parameters": {**SIMULATE_PARAMS, "threads": 3}})
+    )
+    assert run(["rerun", "m.json"]) == 0
+    data = _simulated(tmp_path, n=500, seed=3)
+    params = {"data": str(data), "alpha": 0.05, "test": "auto", "no_possible_dsep": False}
+    Path("d.json").write_text(
+        json.dumps({"command": "discover", "parameters": {**params, "format": "dot", "out": "g.dot"}})
+    )
+    assert run(["rerun", "d.json"]) == 0
+    assert Path("g.dot").exists()
+
+
 def test_env_overrides_defaults(tmp_path, monkeypatch):
     data = _simulated(tmp_path, n=1000, seed=7)
     out = tmp_path / "g.dot"

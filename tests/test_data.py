@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_read_csv_text
@@ -244,8 +244,20 @@ def _assert_matches_reference(text):
         assert got == want
 
 
+def _csv(*rows):
+    return "\n".join(rows) + "\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=csv_texts())
+@example(text=_csv("a,x", "1", "1,0.5\r1,0.5"))  # a short row, then a lone CR, in one block
+# in column a: a bad cell, then a missing value a block later; a missing value,
+# then a padded level; two different bad cells
+@example(text=_csv("a,x", "zap,0.5", *_filler(["a", "x"], _CSV_BLOCK), ",0.5"))
+@example(text=_csv("a,x", ",0.5", *_filler(["a", "x"], _CSV_BLOCK), " 1,0.5"))
+@example(text=_csv("a,x", "zap,0.5", *_filler(["a", "x"], _CSV_BLOCK), "zip,0.5"))
+@example(text=_csv("a,x", "zap,0.5", "1,"))  # a bad cell in a, a missing value in x
+@example(text=_csv("a,x", "7,0.5", "1,"))  # a level out of range in a, a missing value in x
 def test_read_csv_text_matches_the_row_reference(text):
     _assert_matches_reference(text)
 
@@ -273,7 +285,7 @@ def test_one_column_blank_line_is_skipped_but_spaces_are_a_missing_value():
         _assert_matches_reference(text)
 
 
-def test_canonical_text_is_decoded_without_the_row_loop(monkeypatch):
+def test_canonical_text_is_decoded_without_parsing_cells(monkeypatch):
     rng = np.random.default_rng(0)
     n = 3 * _CSV_BLOCK + 7
     d = Dataset(
@@ -286,11 +298,27 @@ def test_canonical_text_is_decoded_without_the_row_loop(monkeypatch):
     text = "a,c,x\n" + "".join(
         f"{a},{c},{x!r}\n" for a, c, x in zip(*(col.values.tolist() for col in d.columns))
     )
-    monkeypatch.setattr(data, "_read_csv_rows", None)  # calling it would raise
+    monkeypatch.setattr(data, "_parse_cells", None)  # calling it would raise
     assert read_csv_text(text, CSV_SCHEMA) == d
 
 
-def test_levels_past_the_lookup_cap_take_the_row_loop():
+def test_a_padded_cell_sends_only_its_column_slice_to_the_cell_parser(monkeypatch):
+    header = ["a", "c", "x"]
+    text = _csv("a,c,x", *_filler(header, 2 * _CSV_BLOCK + 5), "1, 3,0.5", *_filler(header, 4))
+    parse_cells, slices = data._parse_cells, []
+
+    def spy(cells, *args):
+        slices.append(cells)
+        return parse_cells(cells, *args)
+
+    monkeypatch.setattr(data, "_parse_cells", spy)
+    got = read_csv_text(text, CSV_SCHEMA)
+    assert slices == [["11"] * 5 + [" 3"] + ["11"] * 4]  # column c of the third block
+    assert got == reference_read_csv_text(text, CSV_SCHEMA)
+    assert got.col("c").values[2 * _CSV_BLOCK + 5] == 3
+
+
+def test_levels_past_the_lookup_cap_are_parsed_cell_by_cell():
     big = {"g": ("cat", 10**9)}
     d = read_csv_text(f"g\n0\n{10**9 - 1}\n", big)
     assert d.col("g").values.tolist() == [0, 10**9 - 1]
