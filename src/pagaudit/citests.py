@@ -286,13 +286,15 @@ class CiOracle:
     Only ``observed`` nodes may be queried; the rest act as latent variables.
     The truth must pass ``graph.validate`` as a DAG (directed edges only, no
     directed cycle).  Its parent and child sets are compiled to bitmasks at
-    construction, so the oracle answers from the truth as it was then: later
-    edits to ``truth`` do not reach it.
+    construction, with the truth index of each observed node, so the oracle
+    answers from the truth as it was then: later edits to ``truth`` do not
+    reach it.
     """
 
     truth: MixedGraph
     observed: tuple[str, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
+    _truth_index: list[int] = field(init=False, repr=False, compare=False)
     _parents: list[int] = field(init=False, repr=False, compare=False)
     _children: list[int] = field(init=False, repr=False, compare=False)
 
@@ -303,25 +305,33 @@ class CiOracle:
         if problems:
             raise InputError(f"oracle truth is not a valid DAG: {problems[0]}")
         object.__setattr__(self, "observed", tuple(self.observed))
-        index = {name: self.truth.index(name) for name in self.observed}
+        truth_index = [self.truth.index(name) for name in self.observed]
         parents, children = directed_masks(self.truth)
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_position", {name: i for i, name in enumerate(self.observed)})
+        object.__setattr__(self, "_truth_index", truth_index)
         object.__setattr__(self, "_parents", parents)
         object.__setattr__(self, "_children", children)
+
+    def separated(self, x: int, y: int, s=()) -> bool:
+        """True iff observed nodes x and y are d-separated given the observed
+        nodes s, each given by its position in ``observed``; x, y and s must
+        be distinct, which is not checked."""
+        at = self._truth_index
+        z = 0
+        for v in s:
+            z |= 1 << at[v]
+        return bayes_ball_separated(self._parents, self._children, at[x], at[y], z)
 
 
 def oracle_test(o: CiOracle, x: str, y: str, s=()) -> bool:
     """True iff x and y are d-separated given s in the oracle's truth DAG."""
     s = tuple(s)
-    index = o._index
+    position = o._position
     for name in (x, y, *s):
-        if name not in index:
+        if name not in position:
             raise InputError(f"{name!r} is not an observed node of the oracle")
     if x == y:
         raise InputError("x and y must be distinct")
     if x in s or y in s:
         raise InputError("x and y must not be in the conditioning set")
-    z = 0
-    for name in s:
-        z |= 1 << index[name]
-    return bayes_ball_separated(o._parents, o._children, index[x], index[y], z)
+    return o.separated(position[x], position[y], [position[name] for name in s])

@@ -272,7 +272,7 @@ def read_csv_text(
     kinds = [schema[name] for name in header]
     decoders = [
         (
-            ({str(v): v for v in range(min(arity, _LEVELS_CAP))}.__getitem__, int, np.int64)
+            ({str(v): v for v in range(min(arity, _LEVELS_CAP))}.__getitem__, _parse_level, np.int64)
             if kind == CATEGORICAL
             else (float, float, np.float64)
         )
@@ -333,6 +333,13 @@ def _parse_cells(cells: list[str], parse, dtype) -> tuple[np.ndarray, bool, str 
             empty |= not cell
             error = error or str(exc)
     return np.array(values, dtype), empty, error
+
+
+def _parse_level(cell: str) -> int:
+    """A categorical cell as an int; a level past int64 reads as -1, which is
+    outside every arity's range, so the Column rejects it as out of range."""
+    level = int(cell)
+    return level if -(1 << 63) <= level < 1 << 63 else -1
 
 
 def _read_header(reader, schema, source: str) -> list[str]:

@@ -8,6 +8,12 @@ rules R5-R7 never apply because undirected edges are out of scope).
 Everything iterates in node order with subsets in lexicographic order, so a
 run is a deterministic function of its inputs.
 
+Each CI walk, one ordered pair and its candidate sets, stops at the first
+independence.  ``CiTester`` picks how it walks from its decider when it is
+built: chi-square scores a walk's uncached sets in batches of growing size,
+while the oracle and Fisher-z answer one query at a time by column index (the
+oracle by observed position, mapped to its truth DAG once), in a plain loop.
+
 A chi-square tester scores ahead: at the start of each skeleton depth, and
 once before Possible-D-SEP, it is given every walk that stage may run (an
 ordered pair and its sets, from the adjacency at the start of the depth, or
@@ -27,8 +33,9 @@ from itertools import chain, combinations, groupby
 
 import numpy as np
 
-# chi_square_test is not called here, but stays importable as
-# pagaudit.fci.chi_square_test, the name the benchmark's tracer wraps
+# chi_square_test and oracle_test are not called here, but stay importable
+# as pagaudit.fci.chi_square_test and pagaudit.fci.oracle_test, names the
+# benchmark's tracer wraps
 from .citests import (  # noqa: F401
     GSQUARED,
     PEARSON,
@@ -161,6 +168,12 @@ class CiTester:
     counts evaluations, cache hits and zero-dof (uninformative) results.  A
     query's cache key is one integer: the bitmask of S above the pair.
 
+    The decider also picks the walk of ``first_independent``.  Chi-square,
+    which scores many sets in one kernel call, walks in batches of growing
+    size.  The oracle and Fisher-z answer one query at a time, by index, so
+    their walk is a plain loop over the sets: a cache lookup, else one
+    answer, then the counters, up to the first independence.
+
     A chi-square tester scores ahead (``score_ahead``): the uncached sets of
     every walk of a stage that has fewer than ``_first_batch`` of them are
     scored before the walks run, each unordered query once, in the
@@ -188,7 +201,7 @@ class CiTester:
             raise InputError(f"cannot test on source of type {type(source).__name__}")
         self._bits = len(self.names).bit_length()
         self._decide, rows = _decider(source, cfg)
-        self._scores_ahead = rows is not None
+        self._batched = rows is not None
         # this stage's score-ahead results: (independent, uninformative) by
         # cache key, shifted left one bit for the orientation (x > y)
         self._ahead: dict[int, tuple[bool, bool]] = {}
@@ -211,7 +224,7 @@ class CiTester:
         tester that goes one set at a time returns at once, without reading
         ``walks``.
         """
-        if not self._scores_ahead:
+        if not self._batched:
             return
         self._ahead = {}
         cache, bits = self._cache, self._bits
@@ -245,11 +258,38 @@ class CiTester:
     def first_independent(self, x: int, y: int, subsets):
         """The first set S, in the order given, with x _||_ y | S, or None.
 
+        The walk stops at the first independence: the counters and the cache
+        see exactly the sets up to it, as in a one-at-a-time walk.
+        """
+        if self._batched:
+            return self._walk_batches(x, y, subsets)
+        diag, cache, answer = self.diagnostics, self._cache, self._decide
+        shift = 2 * self._bits
+        pair = (x << self._bits | y) if x < y else (y << self._bits | x)
+        for s in subsets:
+            key = pair
+            for v in s:
+                key |= 1 << (v + shift)
+            known = cache.get(key)
+            if known is None:
+                try:
+                    known = answer(x, y, s)
+                except Exception as exc:
+                    self._raise_naming(exc, x, y, [s])
+                diag.tests_run += 1
+                cache[key] = known
+            else:
+                diag.cache_hits += 1
+            if known:
+                return s
+        return None
+
+    def _walk_batches(self, x: int, y: int, subsets):
+        """``first_independent`` for a decider that scores sets in batches.
+
         Sets are looked up in the cache, then among this stage's score-ahead
         results, in order; the others are evaluated in batches of growing
-        size, then resolved in order.  The walk stops at the first
-        independence: the counters and the cache see exactly the sets up to
-        it, as in a one-at-a-time walk, and results computed past it are
+        size, then resolved in order, and results computed past the stop are
         dropped.
         """
         diag = self.diagnostics
@@ -303,17 +343,21 @@ class CiTester:
         try:
             return self._decide(x, y, subsets)
         except Exception as exc:
-            names = self.names
-            if not isinstance(x, int):
-                x, y = x[0], y[0]
-            query = f"{names[x]} _||_ {names[y]} | {sorted(names[v] for v in subsets[0])}"
-            if len(subsets) > 1:
-                query += f" (or one of the {len(subsets) - 1} sets after it)"
-            try:
-                wrapped = type(exc)(f"{exc} [while testing {query}]")
-            except TypeError:
-                raise
-            raise wrapped from exc
+            self._raise_naming(exc, x, y, subsets)
+
+    def _raise_naming(self, exc: Exception, x, y, subsets: list):
+        """Raise ``exc`` again, as its own type, with the first query named."""
+        names = self.names
+        if not isinstance(x, int):
+            x, y = x[0], y[0]
+        query = f"{names[x]} _||_ {names[y]} | {sorted(names[v] for v in subsets[0])}"
+        if len(subsets) > 1:
+            query += f" (or one of the {len(subsets) - 1} sets after it)"
+        try:
+            wrapped = type(exc)(f"{exc} [while testing {query}]")
+        except TypeError:
+            raise
+        raise wrapped from exc
 
 
 def select_test(source: Dataset | CountTable, selector: str) -> str:
@@ -348,33 +392,28 @@ def select_test(source: Dataset | CountTable, selector: str) -> str:
 def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
     """The CI decision for this source and test selector, and its batch rows.
 
-    The decision maps indices (x, y, [S, ...]) to one (independent,
-    uninformative) pair per set.  Chi-square runs on the source's count
-    table, scores a batch in few kernel calls and returns the number of
-    distinct rows it counts, by which the tester sizes its batches; it also
-    takes lists x, y with a pair per set, the queries of a score-ahead step.
-    The other tests go one set at a time (rows None).  An oracle source always
-    uses the oracle; a dataset's test is chosen by ``select_test``.
+    Chi-square runs on the source's count table: its decision maps indices
+    (x, y, [S, ...]) to one (independent, uninformative) pair per set, scored
+    in few kernel calls, and comes with the number of distinct rows it
+    counts, by which the tester sizes its batches; it also takes lists x, y
+    with a pair per set, the queries of a score-ahead step.  The oracle and
+    Fisher-z answer one query (x, y, S) of indices with a bool (rows None).
+    An oracle source always uses the oracle; a dataset's test is chosen by
+    ``select_test``.
     """
     if isinstance(source, CiOracle):
-        return _one_at_a_time(source.observed, lambda x, y, s: oracle_test(source, x, y, s)), None
+        return source.separated, None
     test = select_test(source, cfg.test)
     if test == "fisherz":
-        return _one_at_a_time(
-            source.names, lambda x, y, s: fisher_z_test(source, x, y, s, cfg.alpha).independent
-        ), None
+        names = tuple(source.names)
+
+        def fisher_z(x: int, y: int, s) -> bool:
+            s = tuple(names[v] for v in s)
+            return fisher_z_test(source, names[x], names[y], s, cfg.alpha).independent
+
+        return fisher_z, None
     table = source if isinstance(source, CountTable) else CountTable.of(source)
     return _chi_square_decider(table, GSQUARED if test == "g2" else PEARSON, cfg.alpha)
-
-
-def _one_at_a_time(names, test):
-    """Batch decisions from a test on (x, y, S) names."""
-    names = tuple(names)
-
-    def decide(x: int, y: int, subsets: list) -> list[tuple[bool, bool]]:
-        return [(test(names[x], names[y], tuple(names[v] for v in s)), False) for s in subsets]
-
-    return decide
 
 
 def _chi_square_decider(t: CountTable, variant: str, alpha: float):

@@ -502,7 +502,9 @@ def reference_read_csv_text(text, schema, source="<csv>"):
             raise InputError(f"{source}: missing value in column {name!r}")
         try:
             if kind == CATEGORICAL:
-                values = np.array([int(c) for c in cells], dtype=np.int64)
+                # a level past int64 is out of range, as -1 is
+                values = [int(c) for c in cells]
+                values = np.array([v if -(2**63) <= v < 2**63 else -1 for v in values], np.int64)
             else:
                 values = np.array([float(c) for c in cells], dtype=np.float64)
         except ValueError as exc:

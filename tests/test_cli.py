@@ -171,6 +171,16 @@ def test_discover_oversized_csv_field_exits_2_naming_the_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_discover_level_past_int64_exits_2_as_out_of_range(tmp_path, capsys):
+    bad = tmp_path / "big.csv"
+    bad.write_text("a,b\n99999999999999999999,0\n1,1\n")
+    Path(str(bad) + ".schema").write_text("a:cat:2\nb:cat:2\n")
+    assert run(["discover", "--data", str(bad), "--out", str(tmp_path / "x.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): ") and "column 'a': values outside [0, 2)" in err
+    assert "Traceback" not in err
+
+
 def test_discover_reads_files_saved_with_a_byte_order_mark(tmp_path):
     data = _simulated(tmp_path, n=300)
     marked = tmp_path / "marked.csv"

@@ -69,6 +69,9 @@ def test_categorical_range_enforced():
         read_csv_text("a,b,x\n0,3,1.0\n", SCHEMA)  # b out of arity 3
     with pytest.raises(SchemaError):
         read_csv_text("a,b,x\n-1,0,1.0\n", SCHEMA)
+    for level in ("99999999999999999999", "-99999999999999999999", str(2**63)):  # past int64
+        with pytest.raises(SchemaError, match=r"column 'a': values outside \[0, 2\)"):
+            read_csv_text(f"a,b,x\n{level},0,1.0\n", SCHEMA)
 
 
 def test_dataset_invariants():
@@ -171,7 +174,7 @@ def test_count_table_needs_categorical_columns():
 
 CSV_SCHEMA = {"a": ("cat", 2), "b": ("cat", 3), "c": ("cat", 12), "x": ("cont", None)}
 # cells in canonical form, then cells that are not: padded, signed, quoted,
-# empty, non-numbers, a carriage return inside a field
+# past int64, empty, non-numbers, a carriage return inside a field
 CANONICAL = {
     "cat": lambda arity: st.integers(0, arity - 1).map(str),
     "cont": lambda _: st.one_of(
@@ -182,6 +185,7 @@ ODD = {
     "cat": st.one_of(
         st.integers(0, 12).map(str),
         st.sampled_from([" 1", "1 ", "01", "+1", "-0", "-1", '"1"', '"1,0"', "1.0", "1_0"]),
+        st.sampled_from(["99999999999999999999", "-99999999999999999999", str(2**63)]),
         st.sampled_from(["", "  ", "zap", "\u0661", "0x1", "1\r0"]),
     ),
     "cont": st.one_of(
@@ -258,6 +262,8 @@ def _csv(*rows):
 @example(text=_csv("a,x", "zap,0.5", *_filler(["a", "x"], _CSV_BLOCK), "zip,0.5"))
 @example(text=_csv("a,x", "zap,0.5", "1,"))  # a bad cell in a, a missing value in x
 @example(text=_csv("a,x", "7,0.5", "1,"))  # a level out of range in a, a missing value in x
+@example(text=_csv("a,x", "99999999999999999999,0.5", "1,"))  # the same, past int64
+@example(text=_csv("a,x", "-99999999999999999999,0.5", ",0.5"))  # a missing value outranks it
 def test_read_csv_text_matches_the_row_reference(text):
     _assert_matches_reference(text)
 

@@ -19,9 +19,17 @@ from helpers import (
     xray_like_standin,
 )
 from pagaudit import fci as fci_module
-from pagaudit.citests import GSQUARED, PEARSON, CiOracle, CiTestResult, chi_square_test
+from pagaudit.citests import (
+    GSQUARED,
+    PEARSON,
+    CiOracle,
+    CiTestResult,
+    chi_square_test,
+    oracle_test,
+)
 from pagaudit.data import Column, CountTable, Dataset
 from pagaudit.errors import (
+    DegenerateInputError,
     InputError,
     InternalConsistencyError,
     KnowledgeInconsistencyError,
@@ -155,6 +163,27 @@ def test_test_errors_carry_the_query():
         skeleton_search(tester, ("a", "b"), FciConfig())
     assert "a _||_ b" in str(err.value)
     assert isinstance(err.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize(
+    "third, message",
+    [
+        ("copy", "singular correlation submatrix [while testing a _||_ b | ['c']]"),
+        ("constant", "constant column in correlation submatrix [while testing a _||_ c | []]"),
+    ],
+)
+def test_fisher_z_errors_carry_the_query(third, message):
+    # a and b are dependent, so the walk of (a, b) reaches depth 1, where a
+    # copy of a as c makes the correlation submatrix singular
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=50)
+    b = a + rng.normal(size=50)
+    c = a.copy() if third == "copy" else np.ones(50)
+    d = Dataset([Column(name, "cont", v) for name, v in zip("abc", (a, b, c))])
+    with pytest.raises(DegenerateInputError) as err:
+        fci_run(d, cfg=FciConfig(test="fisherz"))
+    assert str(err.value) == message
+    assert isinstance(err.value.__cause__, DegenerateInputError)
 
 
 def test_a_failing_score_ahead_call_names_its_first_query():
@@ -297,6 +326,60 @@ def test_first_independent_matches_a_one_at_a_time_walk(seed, n, arities, k, war
     diag = batched.diagnostics
     assert (diag.tests_run, diag.cache_hits, diag.dof_zero_warnings) == tuple(counts.values())
     assert len(batched._cache) == len(cache)  # nothing cached past the stop
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(4, 10),
+    n_latent=st.integers(0, 3),
+    p_edge=st.sampled_from([0.2, 0.4, 0.6]),
+    k=st.integers(0, 4),
+    warm=st.integers(0, 40),
+)
+def test_oracle_first_independent_matches_a_walk_over_oracle_test(
+    seed, n, n_latent, p_edge, k, warm
+):
+    # latent nodes, and observed nodes in shuffled order, make a node's
+    # observed position differ from its index in the truth
+    rng = np.random.default_rng(seed)
+    truth = random_dag(rng, n, p_edge)
+    latent = set(rng.choice(n, min(n_latent, n - 2), replace=False).tolist())
+    observed = [name for i, name in enumerate(truth.names) if i not in latent]
+    observed = tuple(observed[i] for i in rng.permutation(len(observed)))
+    oracle = CiOracle(truth, observed)
+    tester, _ = oracle_tester(oracle)
+
+    # the reference: a plain callable over oracle_test by names, with a
+    # frozenset-keyed cache
+    cache, counts = {}, {"tests_run": 0, "cache_hits": 0}
+
+    def plain(x, y, s):
+        key = (min(x, y), max(x, y), frozenset(s))
+        if key in cache:
+            counts["cache_hits"] += 1
+            return cache[key]
+        counts["tests_run"] += 1
+        cache[key] = oracle_test(oracle, observed[x], observed[y], [observed[v] for v in s])
+        return cache[key]
+
+    # the same cached answers in both, asked in both orientations of the pair
+    m = len(observed)
+    for _ in range(warm):
+        x, y = (int(v) for v in rng.choice(m, size=2, replace=False))
+        rest = [v for v in range(m) if v not in (x, y)]
+        size = min(int(rng.integers(0, 3)), len(rest))
+        s = tuple(sorted(int(v) for v in rng.choice(rest, size=size, replace=False)))
+        assert tester(x, y, s) == plain(y, x, s)
+    x, y = (int(v) for v in rng.choice(m, size=2, replace=False))
+    others = [v for v in range(m) if v not in (x, y)]
+    subsets = list(itertools.combinations(others, min(k, len(others))))
+
+    got = tester.first_independent(x, y, iter(subsets))
+    assert got == fci_module._first_independent(plain, x, y, iter(subsets))
+    diag = tester.diagnostics
+    assert (diag.tests_run, diag.cache_hits, diag.dof_zero_warnings) == (*counts.values(), 0)
+    assert len(tester._cache) == len(cache)  # nothing cached past the stop
 
 
 @pytest.mark.parametrize(
