@@ -29,6 +29,7 @@ from .graph import (  # noqa: F401
     GraphKind,
     MixedGraph,
     bayes_ball_separated,
+    bits,
     d_separated,
     directed_masks,
     validate,
@@ -283,18 +284,19 @@ def fisher_z_test(d: Dataset, x: str, y: str, s=(), alpha: float = 0.05) -> CiTe
 class CiOracle:
     """Population-limit test: answers queries by d-separation in a true DAG.
 
-    Only ``observed`` nodes may be queried; the rest act as latent variables.
-    The truth must pass ``graph.validate`` as a DAG (directed edges only, no
-    directed cycle).  Its parent and child sets are compiled to bitmasks at
-    construction, with the truth index of each observed node, so the oracle
-    answers from the truth as it was then: later edits to ``truth`` do not
-    reach it.
+    Only ``observed`` nodes, which must be distinct, may be queried; the rest
+    act as latent variables.  The truth must pass ``graph.validate`` as a DAG
+    (directed edges only, no directed cycle).  Its parent and child sets are
+    compiled to bitmasks at construction, relabelled so that the node at
+    position i of ``observed`` is node i, and the latent nodes follow in
+    truth order: a set of observed positions is then its own conditioning
+    mask.  The oracle answers from the truth as it was then: later edits to
+    ``truth`` do not reach it.
     """
 
     truth: MixedGraph
     observed: tuple[str, ...]
     _position: dict[str, int] = field(init=False, repr=False, compare=False)
-    _truth_index: list[int] = field(init=False, repr=False, compare=False)
     _parents: list[int] = field(init=False, repr=False, compare=False)
     _children: list[int] = field(init=False, repr=False, compare=False)
 
@@ -304,23 +306,35 @@ class CiOracle:
         problems = validate(self.truth)
         if problems:
             raise InputError(f"oracle truth is not a valid DAG: {problems[0]}")
-        object.__setattr__(self, "observed", tuple(self.observed))
-        truth_index = [self.truth.index(name) for name in self.observed]
+        observed = tuple(self.observed)
+        order = [self.truth.index(name) for name in observed]
+        if len(set(order)) != len(order):
+            raise InputError(f"duplicate observed nodes: {sorted(observed)}")
+        order += sorted(set(range(self.truth.n_nodes)) - set(order))
+        label = {old: new for new, old in enumerate(order)}
+
+        def relabel(mask: int) -> int:
+            return sum(1 << label[v] for v in bits(mask))
+
         parents, children = directed_masks(self.truth)
-        object.__setattr__(self, "_position", {name: i for i, name in enumerate(self.observed)})
-        object.__setattr__(self, "_truth_index", truth_index)
-        object.__setattr__(self, "_parents", parents)
-        object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "_position", {name: i for i, name in enumerate(observed)})
+        object.__setattr__(self, "_parents", [relabel(parents[old]) for old in order])
+        object.__setattr__(self, "_children", [relabel(children[old]) for old in order])
 
     def separated(self, x: int, y: int, s=()) -> bool:
         """True iff observed nodes x and y are d-separated given the observed
         nodes s, each given by its position in ``observed``; x, y and s must
         be distinct, which is not checked."""
-        at = self._truth_index
         z = 0
         for v in s:
-            z |= 1 << at[v]
-        return bayes_ball_separated(self._parents, self._children, at[x], at[y], z)
+            z |= 1 << v
+        return self.separated_given_mask(x, y, z)
+
+    def separated_given_mask(self, x: int, y: int, z: int) -> bool:
+        """``separated`` with the conditioning set given as the bitmask ``z``
+        of its positions in ``observed``."""
+        return bayes_ball_separated(self._parents, self._children, x, y, z)
 
 
 def oracle_test(o: CiOracle, x: str, y: str, s=()) -> bool:

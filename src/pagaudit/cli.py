@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -249,6 +250,10 @@ def cmd_rerun(manifest_path: str) -> None:
 # -- argument parsing -------------------------------------------------------------
 
 
+# built once per process: building costs far more than parsing, and the
+# parser holds no state between calls (defaults are resolved per call in
+# _resolve_params)
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pagaudit",

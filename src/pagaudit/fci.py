@@ -6,13 +6,18 @@ the complete circle-resolving rule set (R1-R4, R8-R10; the selection-bias
 rules R5-R7 never apply because undirected edges are out of scope).
 
 Everything iterates in node order with subsets in lexicographic order, so a
-run is a deterministic function of its inputs.
+run is a deterministic function of its inputs.  The stages work on the
+``MixedGraph``'s own storage, its per-node adjacency bitmasks ``adj`` and its
+mark table ``marks``, indexed by node without the checks of its public
+methods; a neighbour set is the set bits of a mask, in node order.
 
 Each CI walk, one ordered pair and its candidate sets, stops at the first
 independence.  ``CiTester`` picks how it walks from its decider when it is
 built: chi-square scores a walk's uncached sets in batches of growing size,
-while the oracle and Fisher-z answer one query at a time by column index (the
-oracle by observed position, mapped to its truth DAG once), in a plain loop.
+while the oracle and Fisher-z answer one query at a time by column index, in
+a plain loop.  The oracle is handed the conditioning set as the bitmask that
+the query's cache key already holds, since its masks number the observed
+nodes by column.
 
 A chi-square tester scores ahead: at the start of each skeleton depth, and
 once before Possible-D-SEP, it is given every walk that stage may run (an
@@ -52,7 +57,7 @@ from .errors import (
     InternalConsistencyError,
     KnowledgeInconsistencyError,
 )
-from .graph import BackgroundKnowledge, GraphKind, Mark, MixedGraph
+from .graph import BackgroundKnowledge, GraphKind, Mark, MixedGraph, bits
 
 __all__ = [
     "FciConfig",
@@ -70,6 +75,10 @@ __all__ = [
 ]
 
 RULE_ORDER = ("R1", "R2", "R3", "R4", "R8", "R9", "R10")
+
+# the marks by module global: an enum member's attribute lookup costs several
+# times a global's in the rules' inner loops
+TAIL, ARROW, CIRCLE = Mark.TAIL, Mark.ARROW, Mark.CIRCLE
 
 
 @dataclass
@@ -172,7 +181,9 @@ class CiTester:
     which scores many sets in one kernel call, walks in batches of growing
     size.  The oracle and Fisher-z answer one query at a time, by index, so
     their walk is a plain loop over the sets: a cache lookup, else one
-    answer, then the counters, up to the first independence.
+    answer, then the counters, up to the first independence.  Each set is
+    read once, to build its key; an answer is given the set and its bitmask,
+    the key shifted down past the pair, from which the oracle answers.
 
     A chi-square tester scores ahead (``score_ahead``): the uncached sets of
     every walk of a stage that has fewer than ``_first_batch`` of them are
@@ -200,6 +211,8 @@ class CiTester:
         else:
             raise InputError(f"cannot test on source of type {type(source).__name__}")
         self._bits = len(self.names).bit_length()
+        # the cache key bit of each node as a member of S, above the pair
+        self._member = [1 << (v + 2 * self._bits) for v in range(len(self.names))]
         self._decide, rows = _decider(source, cfg)
         self._batched = rows is not None
         # this stage's score-ahead results: (independent, uninformative) by
@@ -227,18 +240,17 @@ class CiTester:
         if not self._batched:
             return
         self._ahead = {}
-        cache, bits = self._cache, self._bits
-        shift = 2 * bits
+        cache, member, width = self._cache, self._member, self._bits
         taken: dict[int, int] = {}  # cache key -> key with its orientation bit
         xs, ys, sets = [], [], []
         for x, y, subsets in walks:
-            pair = (x << bits | y) if x < y else (y << bits | x)
+            pair = (x << width | y) if x < y else (y << width | x)
             flip = x > y
             first, keys = [], []
             for s in subsets:
                 key = pair
                 for v in s:
-                    key |= 1 << (v + shift)
+                    key |= member[v]
                 if key not in cache:
                     first.append(s)
                     keys.append(key)
@@ -264,16 +276,16 @@ class CiTester:
         if self._batched:
             return self._walk_batches(x, y, subsets)
         diag, cache, answer = self.diagnostics, self._cache, self._decide
-        shift = 2 * self._bits
+        member, shift = self._member, 2 * self._bits
         pair = (x << self._bits | y) if x < y else (y << self._bits | x)
         for s in subsets:
             key = pair
             for v in s:
-                key |= 1 << (v + shift)
+                key |= member[v]
             known = cache.get(key)
             if known is None:
                 try:
-                    known = answer(x, y, s)
+                    known = answer(x, y, s, key >> shift)
                 except Exception as exc:
                     self._raise_naming(exc, x, y, [s])
                 diag.tests_run += 1
@@ -293,8 +305,7 @@ class CiTester:
         dropped.
         """
         diag = self.diagnostics
-        cache, ahead = self._cache, self._ahead
-        shift = 2 * self._bits
+        cache, ahead, member = self._cache, self._ahead, self._member
         pair = (x << self._bits | y) if x < y else (y << self._bits | x)
         flip = x > y
         size = self._first_batch
@@ -305,7 +316,7 @@ class CiTester:
             for s in subsets:
                 key = pair
                 for v in s:
-                    key |= 1 << (v + shift)
+                    key |= member[v]
                 known = cache.get(key)
                 if known is None:
                     scored = ahead.get(key << 1 | flip) if ahead else None
@@ -397,17 +408,19 @@ def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
     in few kernel calls, and comes with the number of distinct rows it
     counts, by which the tester sizes its batches; it also takes lists x, y
     with a pair per set, the queries of a score-ahead step.  The oracle and
-    Fisher-z answer one query (x, y, S) of indices with a bool (rows None).
+    Fisher-z answer one query (x, y, S, z) of indices, z the bitmask of S,
+    with a bool (rows None).
     An oracle source always uses the oracle; a dataset's test is chosen by
     ``select_test``.
     """
     if isinstance(source, CiOracle):
-        return source.separated, None
+        separated = source.separated_given_mask
+        return (lambda x, y, s, z: separated(x, y, z)), None
     test = select_test(source, cfg.test)
     if test == "fisherz":
         names = tuple(source.names)
 
-        def fisher_z(x: int, y: int, s) -> bool:
+        def fisher_z(x: int, y: int, s, z: int) -> bool:
             s = tuple(names[v] for v in s)
             return fisher_z_test(source, names[x], names[y], s, cfg.alpha).independent
 
@@ -551,7 +564,7 @@ def skeleton_search(
         raise InputError("need at least two variables")
     diag = diagnostics if diagnostics is not None else Diagnostics()
     g = MixedGraph(names, GraphKind.PAG)
-    n = g.n_nodes
+    n, adj = g.n_nodes, g.adj
     seps = SepSetMap()
     forbidden, required = _knowledge_index_sets(knowledge, g)
     for i in range(n):
@@ -564,19 +577,17 @@ def skeleton_search(
 
     def walks():
         for x in range(n):
-            for y in list(g.neighbors(x)):
-                if not g.adjacent(x, y) or SepSetMap._key(x, y) in required:
+            # only the walk of (x, y) removes the edge x--y
+            for y in bits(adj[x]):
+                if SepSetMap._key(x, y) in required:
                     continue
-                others = [v for v in g.neighbors(x) if v != y]
+                others = bits(adj[x] & ~(1 << y))
                 if len(others) >= depth:
                     yield x, y, combinations(others, depth)
 
     depth = 0
-    while True:
-        if cfg.max_cond_size is not None and depth > cfg.max_cond_size:
-            break
-        degrees = [len(g.neighbors(i)) for i in range(n)]
-        if max(degrees, default=0) - 1 < depth:
+    while cfg.max_cond_size is None or depth <= cfg.max_cond_size:
+        if max(mask.bit_count() for mask in adj) - 1 < depth:
             break
         _walk_stage(test, walks, g, seps)
         depth += 1
@@ -605,10 +616,10 @@ def orient_colliders(
 
 
 def _orient_colliders_inplace(g: MixedGraph, sepsets: SepSetMap, diag: Diagnostics) -> None:
+    adj, marks = g.adj, g.marks
     for z in range(g.n_nodes):
-        nbrs = g.neighbors(z)
-        for x, y in combinations(nbrs, 2):
-            if g.adjacent(x, y):
+        for x, y in combinations(bits(adj[z]), 2):
+            if adj[x] >> y & 1:
                 continue
             entry = sepsets.get(x, y)
             if entry is None:
@@ -616,19 +627,15 @@ def _orient_colliders_inplace(g: MixedGraph, sepsets: SepSetMap, diag: Diagnosti
                     f"no separating set recorded for non-adjacent pair "
                     f"({g.names[x]!r}, {g.names[y]!r})"
                 )
-            if entry.from_knowledge:
-                continue
-            if z in entry.nodes:
+            if entry.from_knowledge or z in entry.nodes:
                 continue
             for other in (x, y):
-                cur = g.mark_at(z, other)
-                if cur is Mark.ARROW:
-                    continue
-                if cur is Mark.TAIL:
+                cur = marks[z][other]
+                if cur is TAIL:
                     diag.collider_conflicts += 1
-                    continue
-                g.set_mark(z, other, Mark.ARROW)
-                diag.fired("R0")
+                elif cur is not ARROW:
+                    marks[z][other] = ARROW
+                    diag.fired("R0")
 
 
 # -- possible-d-sep pruning --------------------------------------------------------
@@ -637,25 +644,20 @@ def _orient_colliders_inplace(g: MixedGraph, sepsets: SepSetMap, diag: Diagnosti
 def _possible_dsep_set(g: MixedGraph, x: int) -> list[int]:
     """Nodes reachable from x along paths whose every inner node is a collider
     there or adjacent to both its path neighbors."""
-    found: set[int] = set()
-    seen: set[tuple[int, int]] = set()
-    queue: list[tuple[int, int]] = []
-    for w in g.neighbors(x):
-        found.add(w)
-        seen.add((x, w))
-        queue.append((x, w))
-    while queue:
-        a, b = queue.pop(0)
-        for c in g.neighbors(b):
-            if c == a or (b, c) in seen:
-                continue
-            collider = g.mark_at(b, a) is Mark.ARROW and g.mark_at(b, c) is Mark.ARROW
-            if collider or g.adjacent(a, c):
-                seen.add((b, c))
-                found.add(c)
-                queue.append((b, c))
-    found.discard(x)
-    return sorted(found)
+    adj, marks = g.adj, g.marks
+    # a search over path steps (a, b): bit b of seen[a] once a step is queued
+    seen = [0] * g.n_nodes
+    seen[x] = found = adj[x]
+    stack = [(x, w) for w in bits(adj[x])]
+    while stack:
+        a, b = stack.pop()
+        into_b = marks[b][a] is ARROW
+        for c in bits(adj[b] & ~seen[b] & ~(1 << a)):
+            if adj[a] >> c & 1 or into_b and marks[b][c] is ARROW:
+                seen[b] |= 1 << c
+                found |= 1 << c
+                stack.append((b, c))
+    return bits(found & ~(1 << x))
 
 
 def possible_dsep_prune(
@@ -679,12 +681,13 @@ def possible_dsep_prune(
     _reset_marks(work)
     _orient_colliders_inplace(work, sepsets, Diagnostics())
     _, required = _knowledge_index_sets(knowledge, work)
-    pds = {x: _possible_dsep_set(work, x) for x in range(work.n_nodes)}
+    adj = work.adj
+    pds = [_possible_dsep_set(work, x) for x in range(work.n_nodes)]
 
     def walks():
         for x in range(work.n_nodes):
-            for y in list(work.neighbors(x)):
-                if not work.adjacent(x, y) or SepSetMap._key(x, y) in required:
+            for y in bits(adj[x]):
+                if SepSetMap._key(x, y) in required:
                     continue
                 candidates = [v for v in pds[x] if v != y]
                 limit = len(candidates)
@@ -702,24 +705,24 @@ def possible_dsep_prune(
 
 
 def _reset_marks(g: MixedGraph) -> None:
-    for i, j in g.edge_mark_pairs():
-        g.set_mark(i, j, Mark.CIRCLE)
-        g.set_mark(j, i, Mark.CIRCLE)
+    for i, row in enumerate(g.marks):
+        for j in bits(g.adj[i]):
+            row[j] = CIRCLE
 
 
 # -- orientation rules ---------------------------------------------------------------
 
 
 def _orient(g: MixedGraph, at: int, other: int, mark: Mark, rule: str, diag: Diagnostics) -> bool:
-    cur = g.mark_at(at, other)
+    cur = g.marks[at][other]
     if cur is mark:
         return False
-    if cur is not Mark.CIRCLE:
+    if cur is not CIRCLE:
         raise KnowledgeInconsistencyError(
             f"rule {rule} wants {mark.value!r} at {g.names[at]!r} on edge "
             f"{g.names[at]!r}--{g.names[other]!r} but found {cur.value!r}"
         )
-    g.set_mark(at, other, mark)
+    g.marks[at][other] = mark
     diag.fired(rule)
     return True
 
@@ -731,73 +734,69 @@ def _apply_knowledge_marks(
         (g.index(a), g.index(b)) for (a, b) in knowledge.non_ancestor_pairs
     )
     for ai, bi in pairs:
-        if not g.adjacent(ai, bi):
+        if not g.adj[ai] >> bi & 1:
             continue
-        cur = g.mark_at(ai, bi)
-        if cur is Mark.TAIL:
+        cur = g.marks[ai][bi]
+        if cur is TAIL:
             raise KnowledgeInconsistencyError(
                 f"{g.names[ai]!r} is declared a non-ancestor of {g.names[bi]!r} "
                 f"but the edge carries a tail at {g.names[ai]!r}"
             )
-        if cur is Mark.CIRCLE:
-            g.set_mark(ai, bi, Mark.ARROW)
+        if cur is CIRCLE:
+            g.marks[ai][bi] = ARROW
             diag.fired("knowledge")
 
 
 def _rule_r1(g: MixedGraph, diag: Diagnostics) -> bool:
     # a *-> b o-* c with a, c non-adjacent  =>  a *-> b -> c
+    adj, marks = g.adj, g.marks
     changed = False
     for b in range(g.n_nodes):
-        nbrs = g.neighbors(b)
+        nbrs = bits(adj[b])
         for a in nbrs:
-            if g.mark_at(b, a) is not Mark.ARROW:
+            if marks[b][a] is not ARROW:
                 continue
             for c in nbrs:
-                if c == a or g.adjacent(a, c):
+                if c == a or adj[a] >> c & 1 or marks[b][c] is not CIRCLE:
                     continue
-                if g.mark_at(b, c) is not Mark.CIRCLE:
-                    continue
-                changed |= _orient(g, b, c, Mark.TAIL, "R1", diag)
-                changed |= _orient(g, c, b, Mark.ARROW, "R1", diag)
+                changed |= _orient(g, b, c, TAIL, "R1", diag)
+                changed |= _orient(g, c, b, ARROW, "R1", diag)
     return changed
 
 
 def _rule_r2(g: MixedGraph, diag: Diagnostics) -> bool:
     # a -> b *-> c  or  a *-> b -> c, with a *-o c  =>  a *-> c
+    adj, marks = g.adj, g.marks
     changed = False
     for a in range(g.n_nodes):
-        for c in g.neighbors(a):
-            if g.mark_at(c, a) is not Mark.CIRCLE:
+        for c in bits(adj[a]):
+            if marks[c][a] is not CIRCLE:
                 continue
-            for b in g.neighbors(a):
-                if b == c or not g.adjacent(b, c):
-                    continue
-                a_to_b = g.mark_at(a, b) is Mark.TAIL and g.mark_at(b, a) is Mark.ARROW
-                b_into_c = g.mark_at(c, b) is Mark.ARROW
-                b_to_c = g.mark_at(b, c) is Mark.TAIL and g.mark_at(c, b) is Mark.ARROW
-                a_into_b = g.mark_at(b, a) is Mark.ARROW
-                if (a_to_b and b_into_c) or (a_into_b and b_to_c):
-                    changed |= _orient(g, c, a, Mark.ARROW, "R2", diag)
+            for b in bits(adj[a] & adj[c]):
+                a_to_b = marks[a][b] is TAIL and marks[b][a] is ARROW
+                b_to_c = marks[b][c] is TAIL and marks[c][b] is ARROW
+                if (a_to_b and marks[c][b] is ARROW) or (marks[b][a] is ARROW and b_to_c):
+                    changed |= _orient(g, c, a, ARROW, "R2", diag)
                     break
     return changed
 
 
 def _rule_r3(g: MixedGraph, diag: Diagnostics) -> bool:
     # a *-> b <-* c, a *-o d o-* c, a, c non-adjacent, d *-o b  =>  d *-> b
+    adj, marks = g.adj, g.marks
     changed = False
     for b in range(g.n_nodes):
-        for d in g.neighbors(b):
-            if g.mark_at(b, d) is not Mark.CIRCLE:
+        for d in bits(adj[b]):
+            if marks[b][d] is not CIRCLE:
                 continue
-            shared = [v for v in g.neighbors(b) if v != d and g.adjacent(d, v)]
-            for a, c in combinations(shared, 2):
-                if g.adjacent(a, c):
+            for a, c in combinations(bits(adj[b] & adj[d]), 2):
+                if adj[a] >> c & 1:
                     continue
-                if g.mark_at(b, a) is not Mark.ARROW or g.mark_at(b, c) is not Mark.ARROW:
+                if marks[b][a] is not ARROW or marks[b][c] is not ARROW:
                     continue
-                if g.mark_at(d, a) is not Mark.CIRCLE or g.mark_at(d, c) is not Mark.CIRCLE:
+                if marks[d][a] is not CIRCLE or marks[d][c] is not CIRCLE:
                     continue
-                changed |= _orient(g, b, d, Mark.ARROW, "R3", diag)
+                changed |= _orient(g, b, d, ARROW, "R3", diag)
                 break
     return changed
 
@@ -808,8 +807,8 @@ def _rule_r4(g: MixedGraph, sepsets: SepSetMap | None, diag: Diagnostics) -> boo
     # If b lies in sepset(t, c): b -> c; otherwise a <-> b <-> c.
     changed = False
     for c in range(g.n_nodes):
-        for b in g.neighbors(c):
-            if g.mark_at(b, c) is not Mark.CIRCLE:
+        for b in bits(g.adj[c]):
+            if g.marks[b][c] is not CIRCLE:
                 continue
             found = _find_discriminating_path(g, b, c)
             if found is None:
@@ -827,13 +826,13 @@ def _rule_r4(g: MixedGraph, sepsets: SepSetMap | None, diag: Diagnostics) -> boo
                 )
                 continue
             if b in entry.nodes:
-                changed |= _orient(g, b, c, Mark.TAIL, "R4", diag)
-                changed |= _orient(g, c, b, Mark.ARROW, "R4", diag)
+                changed |= _orient(g, b, c, TAIL, "R4", diag)
+                changed |= _orient(g, c, b, ARROW, "R4", diag)
             else:
-                changed |= _orient(g, a, b, Mark.ARROW, "R4", diag)
-                changed |= _orient(g, b, a, Mark.ARROW, "R4", diag)
-                changed |= _orient(g, b, c, Mark.ARROW, "R4", diag)
-                changed |= _orient(g, c, b, Mark.ARROW, "R4", diag)
+                changed |= _orient(g, a, b, ARROW, "R4", diag)
+                changed |= _orient(g, b, a, ARROW, "R4", diag)
+                changed |= _orient(g, b, c, ARROW, "R4", diag)
+                changed |= _orient(g, c, b, ARROW, "R4", diag)
     return changed
 
 
@@ -841,77 +840,63 @@ def _find_discriminating_path(g: MixedGraph, b: int, c: int) -> tuple[int, int] 
     """First (t, a) such that <t, ..., a, b, c> discriminates b against c."""
     # Depth-first over path suffixes <head, ..., b, c>; extending past a head
     # requires it to be a collider on the path and a parent of c.
-    stack: list[tuple[int, tuple[int, ...]]] = []
-    for a in sorted(g.neighbors(b)):
-        if a == c:
-            continue
-        stack.append((a, (a, b, c)))
+    adj, marks = g.adj, g.marks
+    stack = [(a, (a, b, c)) for a in bits(adj[b] & ~(1 << c))]
     while stack:
         head, path = stack.pop()
-        nxt = path[1]  # node after head on the path
-        if len(path) >= 4 and not g.adjacent(head, c):
-            return head, path[-3]
-        # head must qualify as an inner collider-parent to extend further
-        if not (
-            g.adjacent(head, c)
-            and g.mark_at(head, c) is Mark.TAIL
-            and g.mark_at(c, head) is Mark.ARROW
-            and g.mark_at(head, nxt) is Mark.ARROW
-        ):
+        if not adj[head] >> c & 1:
+            if len(path) >= 4:
+                return head, path[-3]
             continue
-        for p in sorted(g.neighbors(head)):
-            if p in path:
-                continue
-            if g.mark_at(head, p) is not Mark.ARROW:
-                continue
-            stack.append((p, (p,) + path))
+        # head must qualify as an inner collider-parent to extend further
+        row = marks[head]
+        if not (row[c] is TAIL and marks[c][head] is ARROW and row[path[1]] is ARROW):
+            continue
+        for p in bits(adj[head]):
+            if p not in path and row[p] is ARROW:
+                stack.append((p, (p,) + path))
     return None
 
 
-def _pd_edge(g: MixedGraph, frm: int, to: int) -> bool:
+def _pd_edge(marks, frm: int, to: int) -> bool:
     # potentially directed out of frm: no arrow back at frm, no tail at to
-    return g.mark_at(frm, to) is not Mark.ARROW and g.mark_at(to, frm) is not Mark.TAIL
+    return marks[frm][to] is not ARROW and marks[to][frm] is not TAIL
 
 
 def _uncovered_pd_path_exists(g: MixedGraph, a: int, first: int, target: int) -> bool:
     """Uncovered potentially directed path <a, first, ..., target>."""
-    if not _pd_edge(g, a, first):
+    adj, marks = g.adj, g.marks
+    if not _pd_edge(marks, a, first):
         return False
     if first == target:
         return True
-    stack: list[tuple[int, int, frozenset[int]]] = [(first, a, frozenset((a, first)))]
+    # (node, previous node, the path's nodes as a bitmask)
+    stack = [(first, a, 1 << a | 1 << first)]
     while stack:
         cur, prev, onpath = stack.pop()
-        for nxt in g.neighbors(cur):
-            if nxt in onpath:
-                continue
-            if g.adjacent(prev, nxt):  # covered triple
-                continue
-            if not _pd_edge(g, cur, nxt):
+        # skip nodes on the path and covered triples
+        for nxt in bits(adj[cur] & ~onpath & ~adj[prev]):
+            if not _pd_edge(marks, cur, nxt):
                 continue
             if nxt == target:
                 return True
-            stack.append((nxt, cur, onpath | {nxt}))
+            stack.append((nxt, cur, onpath | 1 << nxt))
     return False
 
 
 def _rule_r8(g: MixedGraph, diag: Diagnostics) -> bool:
     # a -> b -> c  or  a -o b -> c, with a o-> c  =>  a -> c
+    adj, marks = g.adj, g.marks
     changed = False
     for a in range(g.n_nodes):
-        for c in g.neighbors(a):
-            if not (g.mark_at(a, c) is Mark.CIRCLE and g.mark_at(c, a) is Mark.ARROW):
+        for c in bits(adj[a]):
+            if not (marks[a][c] is CIRCLE and marks[c][a] is ARROW):
                 continue
-            for b in g.neighbors(a):
-                if b == c or not g.adjacent(b, c):
+            for b in bits(adj[a] & adj[c]):
+                if not (marks[b][c] is TAIL and marks[c][b] is ARROW):
                     continue
-                if not (g.mark_at(b, c) is Mark.TAIL and g.mark_at(c, b) is Mark.ARROW):
-                    continue
-                if g.mark_at(a, b) is Mark.TAIL and g.mark_at(b, a) in (
-                    Mark.ARROW,
-                    Mark.CIRCLE,
-                ):
-                    changed |= _orient(g, a, c, Mark.TAIL, "R8", diag)
+                if marks[a][b] is TAIL and marks[b][a] is not TAIL:
+                    changed |= _orient(g, a, c, TAIL, "R8", diag)
                     break
     return changed
 
@@ -919,16 +904,15 @@ def _rule_r8(g: MixedGraph, diag: Diagnostics) -> bool:
 def _rule_r9(g: MixedGraph, diag: Diagnostics) -> bool:
     # a o-> c with an uncovered potentially directed path <a, b, ..., c>,
     # b not adjacent to c  =>  a -> c
+    adj, marks = g.adj, g.marks
     changed = False
     for a in range(g.n_nodes):
-        for c in g.neighbors(a):
-            if not (g.mark_at(a, c) is Mark.CIRCLE and g.mark_at(c, a) is Mark.ARROW):
+        for c in bits(adj[a]):
+            if not (marks[a][c] is CIRCLE and marks[c][a] is ARROW):
                 continue
-            for b in g.neighbors(a):
-                if b == c or g.adjacent(b, c):
-                    continue
+            for b in bits(adj[a] & ~adj[c] & ~(1 << c)):
                 if _uncovered_pd_path_exists(g, a, b, c):
-                    changed |= _orient(g, a, c, Mark.TAIL, "R9", diag)
+                    changed |= _orient(g, a, c, TAIL, "R9", diag)
                     break
     return changed
 
@@ -936,35 +920,21 @@ def _rule_r9(g: MixedGraph, diag: Diagnostics) -> bool:
 def _rule_r10(g: MixedGraph, diag: Diagnostics) -> bool:
     # a o-> c, b -> c <- t, uncovered pd paths p1: a..b and p2: a..t whose
     # first steps differ and are non-adjacent  =>  a -> c
+    adj, marks = g.adj, g.marks
     changed = False
     for c in range(g.n_nodes):
-        parents = [
-            v
-            for v in g.neighbors(c)
-            if g.mark_at(v, c) is Mark.TAIL and g.mark_at(c, v) is Mark.ARROW
-        ]
+        parents = [v for v in bits(adj[c]) if marks[v][c] is TAIL and marks[c][v] is ARROW]
         if len(parents) < 2:
             continue
-        for a in g.neighbors(c):
-            if not (g.mark_at(a, c) is Mark.CIRCLE and g.mark_at(c, a) is Mark.ARROW):
+        for a in bits(adj[c]):
+            if not (marks[a][c] is CIRCLE and marks[c][a] is ARROW):
                 continue
-            done = False
+            firsts = bits(adj[a] & ~(1 << c))
             for b, t in combinations([p for p in parents if p != a], 2):
-                first_b = {
-                    m for m in g.neighbors(a) if m != c and _uncovered_pd_path_exists(g, a, m, b)
-                }
-                first_t = {
-                    m for m in g.neighbors(a) if m != c and _uncovered_pd_path_exists(g, a, m, t)
-                }
-                for mu in sorted(first_b):
-                    for om in sorted(first_t):
-                        if mu != om and not g.adjacent(mu, om):
-                            changed |= _orient(g, a, c, Mark.TAIL, "R10", diag)
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
+                first_b = [m for m in firsts if _uncovered_pd_path_exists(g, a, m, b)]
+                first_t = [m for m in firsts if _uncovered_pd_path_exists(g, a, m, t)]
+                if any(mu != om and not adj[mu] >> om & 1 for mu in first_b for om in first_t):
+                    changed |= _orient(g, a, c, TAIL, "R10", diag)
                     break
     return changed
 

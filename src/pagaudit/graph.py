@@ -1,9 +1,12 @@
 """Mixed graphs with endpoint marks: DAGs, MAGs and PAGs plus separation queries.
 
 A graph holds an immutable ordered node list and at most one edge per node
-pair.  Each edge carries one mark per endpoint (tail, arrow, circle).  All
-query operations are read-only and safe to call concurrently; construction
-and mutation are single-owner.
+pair.  Each edge carries one mark per endpoint (tail, arrow, circle).  It is
+stored as one adjacency bitmask per node and an n x n mark table, so that
+neighbour sets, reachability and separation are bit operations on masks
+(``bits``, ``directed_masks``, ``bayes_ball_separated``).  All query
+operations are read-only and safe to call concurrently; construction and
+mutation are single-owner.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "MixedGraph",
     "BackgroundKnowledge",
     "bayes_ball_separated",
+    "bits",
     "d_separated",
     "directed_masks",
     "m_separated",
@@ -82,7 +86,13 @@ class MixedGraph:
     """Node-ordered mixed graph.
 
     Node identity is the index into the ordered, unique, case-sensitive name
-    list fixed at construction.  Public methods accept names or indices.
+    list fixed at construction.  Public methods accept names or indices and
+    check them.  The graph is stored as two structures indexed by node
+    index, which FCI reads and writes directly, without checks: ``adj[i]``
+    is the bitmask of i's neighbours, and ``marks[i][j]`` is the mark at i on
+    the edge between i and j, or None when there is no edge.  A writer keeps
+    them consistent: bit j of ``adj[i]``, bit i of ``adj[j]`` and a mark in
+    ``marks[i][j]`` and ``marks[j][i]`` are set together or not at all.
     """
 
     def __init__(self, names: list[str] | tuple[str, ...], kind: GraphKind | str = GraphKind.PAG):
@@ -93,8 +103,8 @@ class MixedGraph:
         self.kind = GraphKind(kind)
         self._index = {name: i for i, name in enumerate(names)}
         self._index.update((i, i) for i in range(len(names)))  # an index maps to itself
-        # nbrs[i][j] -> the mark at i on the edge between i and j
-        self._nbrs: list[dict[int, Mark]] = [{} for _ in names]
+        self.adj: list[int] = [0] * len(names)
+        self.marks: list[list[Mark | None]] = [[None] * len(names) for _ in names]
 
     # -- node handling -----------------------------------------------------
 
@@ -112,13 +122,22 @@ class MixedGraph:
 
     # -- edge construction and mutation -------------------------------------
 
+    def _edge(self, a: str | int, b: str | int) -> tuple[int, int]:
+        """The indices of an existing edge's endpoints."""
+        i, j = self.index(a), self.index(b)
+        if not self.adj[i] >> j & 1:
+            raise InputError(f"no edge {self.names[i]!r}--{self.names[j]!r}")
+        return i, j
+
     def add_edge(self, a: str | int, b: str | int, mark_a: Mark, mark_b: Mark) -> None:
         i, j = self.index(a), self.index(b)
         if i == j:
             raise InputError(f"self-loop on {self.names[i]!r}")
-        if j in self._nbrs[i]:
+        if self.adj[i] >> j & 1:
             raise InputError(f"duplicate edge {self.names[i]!r}--{self.names[j]!r}")
-        self._nbrs[i][j], self._nbrs[j][i] = Mark(mark_a), Mark(mark_b)
+        self.marks[i][j], self.marks[j][i] = Mark(mark_a), Mark(mark_b)
+        self.adj[i] |= 1 << j
+        self.adj[j] |= 1 << i
 
     def add_directed_edge(self, a: str | int, b: str | int) -> None:
         """Add ``a -> b`` (tail at ``a``, arrow at ``b``)."""
@@ -133,34 +152,29 @@ class MixedGraph:
         self.add_edge(a, b, Mark.ARROW, Mark.ARROW)
 
     def remove_edge(self, a: str | int, b: str | int) -> None:
-        i, j = self.index(a), self.index(b)
-        if j not in self._nbrs[i]:
-            raise InputError(f"no edge {self.names[i]!r}--{self.names[j]!r}")
-        del self._nbrs[i][j], self._nbrs[j][i]
+        i, j = self._edge(a, b)
+        self.marks[i][j] = self.marks[j][i] = None
+        self.adj[i] &= ~(1 << j)
+        self.adj[j] &= ~(1 << i)
 
     def set_mark(self, at: str | int, other: str | int, mark: Mark) -> None:
         """Set the mark at node ``at`` on the edge between ``at`` and ``other``."""
-        i, j = self.index(at), self.index(other)
-        if j not in self._nbrs[i]:
-            raise InputError(f"no edge {self.names[i]!r}--{self.names[j]!r}")
-        self._nbrs[i][j] = Mark(mark)
+        i, j = self._edge(at, other)
+        self.marks[i][j] = Mark(mark)
 
     # -- queries -------------------------------------------------------------
 
     def adjacent(self, a: str | int, b: str | int) -> bool:
-        return self.index(b) in self._nbrs[self.index(a)]
+        return bool(self.adj[self.index(a)] >> self.index(b) & 1)
 
     def mark_at(self, at: str | int, other: str | int) -> Mark:
         """Mark at node ``at`` on the edge between ``at`` and ``other``."""
-        i, j = self.index(at), self.index(other)
-        try:
-            return self._nbrs[i][j]
-        except KeyError:
-            raise InputError(f"no edge {self.names[i]!r}--{self.names[j]!r}") from None
+        i, j = self._edge(at, other)
+        return self.marks[i][j]
 
     def neighbors(self, node: str | int) -> list[int]:
         """Adjacent node indices in node order."""
-        return sorted(self._nbrs[self.index(node)])
+        return bits(self.adj[self.index(node)])
 
     def edges(self) -> list[Edge]:
         """Edges sorted by node-index pair."""
@@ -171,24 +185,25 @@ class MixedGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(map(len, self._nbrs)) // 2
+        return sum(mask.bit_count() for mask in self.adj) // 2
 
     def edge_mark_pairs(self) -> dict[tuple[int, int], tuple[Mark, Mark]]:
         """(i, j) with i < j -> (mark at i, mark at j), sorted by pair."""
+        marks = self.marks
         return {
-            (i, j): (nbrs[j], self._nbrs[j][i])
-            for i, nbrs in enumerate(self._nbrs)
-            for j in sorted(nbrs)
-            if i < j
+            (i, j): (marks[i][j], marks[j][i])
+            for i, mask in enumerate(self.adj)
+            for j in bits(mask >> (i + 1) << (i + 1))
         }
 
     def copy(self, kind: GraphKind | str | None = None) -> "MixedGraph":
         g = MixedGraph(self.names, self.kind if kind is None else kind)
-        g._nbrs = [dict(nbrs) for nbrs in self._nbrs]
+        g.adj = self.adj[:]
+        g.marks = [row[:] for row in self.marks]
         return g
 
     def same_structure(self, other: "MixedGraph") -> bool:
-        return self.names == other.names and self._nbrs == other._nbrs
+        return self.names == other.names and self.marks == other.marks
 
     def is_acyclic(self) -> bool:
         """No definite directed cycle (only tail->arrow edges count)."""
@@ -199,6 +214,16 @@ class MixedGraph:
 # -- directed reachability over bitmasks ---------------------------------------
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, as node indices in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def directed_masks(g: MixedGraph) -> tuple[list[int], list[int]]:
     """Parent and child bitmasks per node over definite tail->arrow edges.
 
@@ -206,9 +231,9 @@ def directed_masks(g: MixedGraph) -> tuple[list[int], list[int]]:
     """
     parents = [0] * g.n_nodes
     children = [0] * g.n_nodes
-    for i, nbrs in enumerate(g._nbrs):
-        for j, mark in nbrs.items():
-            if mark is Mark.TAIL and g._nbrs[j][i] is Mark.ARROW:
+    for i, row in enumerate(g.marks):
+        for j in bits(g.adj[i]):
+            if row[j] is Mark.TAIL and g.marks[j][i] is Mark.ARROW:
                 parents[j] |= 1 << i
                 children[i] |= 1 << j
     return parents, children

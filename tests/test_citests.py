@@ -261,6 +261,13 @@ def test_oracle_rejects_latent_queries():
         oracle_test(o, "H", "Y", ("U1",))
 
 
+def test_oracle_rejects_repeated_observed_nodes():
+    # position i of observed is node i of the oracle's masks, so a name may
+    # hold only one position
+    with pytest.raises(InputError, match=r"duplicate observed nodes: \['H', 'H', 'V'\]"):
+        CiOracle(truth_dag(), ("H", "V", "H"))
+
+
 def test_oracle_requires_dag():
     from pagaudit.graph import GraphKind, MixedGraph
 

@@ -458,6 +458,26 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert manifest["parameters"]["seed"] == 77
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch, capsys):
+    # the parser is built once, so nothing resolved for one call may stick to it
+    assert cli.build_parser() is cli.build_parser()
+    seeds = []
+    for seed in ("11", "12"):
+        monkeypatch.setenv("PAGAUDIT_SEED", seed)
+        out = tmp_path / f"s{seed}.csv"
+        assert run(["simulate", "--n", "50", "--out", str(out)]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        seeds.append(manifest["parameters"]["seed"])
+    assert seeds == [11, 12]
+    with pytest.raises(SystemExit) as err:
+        run(["simulate", "--n", "fifty", "--out", str(tmp_path / "bad.csv")])
+    assert err.value.code == 2
+    assert "invalid int value: 'fifty'" in capsys.readouterr().err
+    out = tmp_path / "after.csv"
+    assert run(["simulate", "--n", "50", "--seed", "3", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 51
+
+
 def test_knowledge_inconsistency_maps_to_exit_3(monkeypatch):
     def boom(params):
         raise KnowledgeInconsistencyError("conflicting orientation")

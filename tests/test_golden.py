@@ -15,6 +15,7 @@ import pytest
 
 from helpers import bird_like_standin, random_latent_dag
 from pagaudit import cli
+from pagaudit.citests import CiOracle
 from pagaudit.data import read_csv_text
 from pagaudit.fci import FciConfig, fci_run
 from pagaudit.graph import to_json
@@ -138,3 +139,36 @@ def test_random_dag_oracle_pags_match_golden_digest(tmp_path):
         assert cli.main([str(a) for a in argv]) == 0
         pags.append(out.read_bytes())
     assert sha256(b"".join(pags)) == GOLDEN_RANDOM_ORACLE
+
+
+# fci_digests of `fci_run` on the same 40 DAGs through the library, each
+# digest concatenated in seed order, without a target and with the last
+# observed node as target: pins the oracle path's separating sets and
+# counters, which the PAG JSON above does not show.  Captured before FCI
+# moved to an integer working graph.
+GOLDEN_RANDOM_ORACLE_RUNS = {
+    "none": {
+        "graph": "6597cd15fd50d5728a7bc5ec90421b29977ea2e6a017a04834159565589e24bb",
+        "sepsets": "7c0e6fa189f67a1df2acad075ce8d3e0a08fe2ea5764a1667af60eb55831f77b",
+        "diagnostics": "0d20555d91e5d6e9a99e6d78b0f3a7ef5af8a775972bb777ef2fa31bd55312c5",
+    },
+    "last": {
+        "graph": "2fdf7c00530a2a0f5e2be49fe0aec877fe60b20e011b7cff02d7b270c9a52b6e",
+        "sepsets": "7c0e6fa189f67a1df2acad075ce8d3e0a08fe2ea5764a1667af60eb55831f77b",
+        "diagnostics": "e4e1abcc0e036c629f60187ad925f7456a98c83194bfbb3050067268a971d49f",
+    },
+}
+
+
+@pytest.mark.parametrize("target", sorted(GOLDEN_RANDOM_ORACLE_RUNS))
+def test_random_dag_oracle_runs_match_golden_digest(target):
+    runs = []
+    for seed in range(40):
+        dag, observed = random_latent_dag(seed)
+        result = fci_run(
+            CiOracle(dag, observed), cfg=FciConfig(test="oracle"),
+            target=observed[-1] if target == "last" else None,
+        )
+        runs.append(fci_digests(result))
+    got = {key: sha256("".join(r[key] for r in runs).encode()) for key in runs[0]}
+    assert got == GOLDEN_RANDOM_ORACLE_RUNS[target]

@@ -15,6 +15,7 @@ from helpers import (
 from pagaudit.errors import InputError
 from pagaudit.graph import (
     BackgroundKnowledge,
+    Edge,
     EdgeClass,
     GraphKind,
     Mark,
@@ -23,6 +24,7 @@ from pagaudit.graph import (
     classify_edge,
     d_separated,
     descendants,
+    directed_masks,
     from_dot,
     from_json,
     m_separated,
@@ -377,3 +379,109 @@ def test_dsep_implies_exact_conditional_independence_small():
                 for zz in itertools.combinations(rest, k):
                     if d_separated(g, names[xi], names[yi], [names[v] for v in zz]):
                         assert exactly_independent(joint, 4, xi, yi, zz)
+
+
+# A plain reference model of the graph storage: {node index: {neighbour index:
+# mark at the node}}, driven by the same random edits as a MixedGraph.  A node
+# argument is a name or an index, and may be unknown or out of range.
+_MARKS = st.sampled_from(list(Mark))
+_NODE = st.one_of(st.integers(-1, 6), st.sampled_from(["N0", "N1", "N2", "N3", "N4", "nope"]))
+_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _NODE, _NODE, _MARKS, _MARKS),
+        st.tuples(st.just("remove"), _NODE, _NODE),
+        st.tuples(st.just("set"), _NODE, _NODE, _MARKS),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=40,
+)
+
+
+def _model_index(node, n: int) -> int | None:
+    if isinstance(node, int):
+        return node if 0 <= node < n else None
+    return int(node[1:]) if node != "nope" else None
+
+
+def _assert_matches_model(g: MixedGraph, model: dict[int, dict[int, Mark]]) -> None:
+    n = g.n_nodes
+    pairs = {
+        (i, j): (model[i][j], model[j][i]) for i in range(n) for j in sorted(model[i]) if i < j
+    }
+    assert g.edge_mark_pairs() == pairs
+    assert list(g.edge_mark_pairs()) == sorted(pairs)
+    assert g.edges() == [Edge(g.names[i], g.names[j], mi, mj) for (i, j), (mi, mj) in pairs.items()]
+    assert g.n_edges == len(pairs)
+    parents, children = [0] * n, [0] * n
+    for i in range(n):
+        assert g.neighbors(i) == g.neighbors(g.names[i]) == sorted(model[i])
+        for j in range(n):
+            assert g.adjacent(i, j) == g.adjacent(g.names[i], j) == (j in model[i])
+            if j in model[i]:
+                assert g.mark_at(i, j) is g.mark_at(g.names[i], g.names[j]) is model[i][j]
+                if model[i][j] is Mark.TAIL and model[j][i] is Mark.ARROW:
+                    parents[j] |= 1 << i
+                    children[i] |= 1 << j
+            else:
+                with pytest.raises(InputError):
+                    g.mark_at(i, j)
+    assert directed_masks(g) == (parents, children)
+    # the same edges added fresh, in reverse order, make the same structure
+    fresh = MixedGraph(g.names, g.kind)
+    for (i, j), (mi, mj) in reversed(pairs.items()):
+        fresh.add_edge(j, i, mj, mi)
+    assert g.same_structure(fresh) and fresh.same_structure(g)
+    if pairs:
+        (i, j), (mi, _) = next(iter(pairs.items()))
+        fresh.set_mark(i, j, Mark.ARROW if mi is not Mark.ARROW else Mark.TAIL)
+        assert not g.same_structure(fresh)
+        fresh.remove_edge(i, j)
+        assert not g.same_structure(fresh)
+    for bad in (-1, n, "nope"):
+        for call in (g.neighbors, g.index):
+            with pytest.raises(InputError):
+                call(bad)
+        for call in (g.adjacent, g.mark_at, g.remove_edge):
+            with pytest.raises(InputError):
+                call(bad, 0)
+            with pytest.raises(InputError):
+                call(0, bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS)
+def test_graph_storage_matches_a_dict_model(edits):
+    n = 5
+    g = MixedGraph([f"N{i}" for i in range(n)], GraphKind.PAG)
+    model: dict[int, dict[int, Mark]] = {i: {} for i in range(n)}
+    copies = []  # (copy, the model when it was taken)
+    for op, *args in edits:
+        if op == "copy":
+            copies.append((g.copy(), {i: dict(nbrs) for i, nbrs in model.items()}))
+            continue
+        i, j = (_model_index(a, n) for a in args[:2])
+        if op == "add":
+            valid = None not in (i, j) and i != j and j not in model[i]
+        else:
+            valid = None not in (i, j) and j in model[i]
+        if not valid:
+            with pytest.raises(InputError):
+                getattr(g, f"{op}_edge" if op != "set" else "set_mark")(*args)
+            continue
+        if op == "add":
+            g.add_edge(*args)
+            model[i][j], model[j][i] = args[2], args[3]
+        elif op == "remove":
+            g.remove_edge(*args)
+            del model[i][j], model[j][i]
+        else:
+            g.set_mark(*args)
+            model[i][j] = args[2]
+    _assert_matches_model(g, model)
+    for copied, snapshot in copies:
+        # later edits of the original never reach a copy, nor a copy's the original
+        _assert_matches_model(copied, snapshot)
+        for i, j in copied.edge_mark_pairs():
+            copied.set_mark(i, j, Mark.ARROW)
+            copied.remove_edge(j, i)
+    _assert_matches_model(g, model)
