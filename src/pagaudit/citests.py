@@ -42,6 +42,7 @@ __all__ = [
     "chi_square_independent",
     "chi_square_test",
     "fisher_z_test",
+    "fisher_z_columns",
     "CiOracle",
     "oracle_test",
 ]
@@ -249,15 +250,25 @@ def fisher_z_test(d: Dataset, x: str, y: str, s=(), alpha: float = 0.05) -> CiTe
     for name in (x, y, *s):
         if d.col(name).kind != CONTINUOUS:
             raise InputError(f"fisher-z test needs continuous columns, {name!r} is not")
-    if d.n <= len(s) + 3:
-        raise InputError(f"need more than |s| + 3 = {len(s) + 3} rows, have {d.n}")
+    return fisher_z_columns([d.col(name).values for name in (x, y, *s)], alpha)
 
-    mat = np.column_stack([d.col(name).values for name in (x, y, *s)])
+
+def fisher_z_columns(columns, alpha: float) -> CiTestResult:
+    """``fisher_z_test`` on value arrays of equal length: x, y, then s.
+
+    Only the row count is checked; FCI's Fisher-z decider calls this with
+    the columns it indexes, whose kinds were checked once.
+    """
+    n, k = len(columns[0]), len(columns) - 2
+    if n <= k + 3:
+        raise InputError(f"need more than |s| + 3 = {k + 3} rows, have {n}")
+
+    mat = np.column_stack(columns)
     sd = mat.std(axis=0)
     if np.any(sd == 0):
         raise DegenerateInputError("constant column in correlation submatrix")
     corr = np.corrcoef(mat, rowvar=False)
-    if s:
+    if k:
         try:
             precision = np.linalg.inv(corr)
         except np.linalg.LinAlgError:
@@ -269,7 +280,7 @@ def fisher_z_test(d: Dataset, x: str, y: str, s=(), alpha: float = 0.05) -> CiTe
         rho = corr[0, 1]
     rho = float(np.clip(rho, -1.0, 1.0))
 
-    scale = math.sqrt(d.n - len(s) - 3)
+    scale = math.sqrt(n - k - 3)
     if abs(rho) >= 1.0:
         statistic = math.inf
         p = 0.0
@@ -277,7 +288,7 @@ def fisher_z_test(d: Dataset, x: str, y: str, s=(), alpha: float = 0.05) -> CiTe
         statistic = abs(scale * 0.5 * math.log((1.0 + rho) / (1.0 - rho)))
         p = 2.0 * normal_sf(statistic)
     # dof records the effective sample size entering the z scale
-    return CiTestResult(statistic, d.n - len(s) - 3, p, p > alpha, alpha)
+    return CiTestResult(statistic, n - k - 3, p, p > alpha, alpha)
 
 
 @dataclass(frozen=True)

@@ -257,19 +257,153 @@ def read_csv_text(
 ) -> Dataset:
     """Parse header-first CSV text under the given schema, in one pass.
 
-    Rows are read in blocks of _CSV_BLOCK and decoded a column slice at a
-    time, in one call when every categorical cell spells a level as
-    write_csv does (``"0"`` .. ``str(arity - 1)``) and every continuous cell
-    parses with ``float``.  A slice with any other cell, such as a padded or
-    signed level or an empty cell, goes to _parse_cells; only that slice is
-    parsed cell by cell.  Blank lines are skipped.  The first fault raises:
-    a row of the wrong width or a csv error, in file order; then "no data
-    rows"; then, column by column, a missing value, a cell that does not
-    parse, and the Column's own checks.
+    The header goes through csv.  A plain body, one with no quote, carriage
+    return or NUL and no line longer than csv's field limit, is split at its
+    commas and newlines by numpy, on its UTF-8 bytes (_plain_blocks); any
+    other body goes through csv.reader (_csv_blocks), the only path that
+    applies quoting rules.  Either reads blocks of _CSV_BLOCK lines and
+    decodes them a column slice at a time, in one step when every
+    categorical cell spells a level as write_csv does (``"0"`` ..
+    ``str(arity - 1)``) and every continuous cell parses with ``float``.  A
+    slice with any other cell, such as a padded or signed level or an empty
+    cell, goes to _parse_cells; only that slice is parsed cell by cell.
+    Blank lines are skipped.  The first fault raises: a row of the wrong
+    width or a csv error, in file order; then "no data rows"; then, column
+    by column, a missing value, a cell that does not parse, and the Column's
+    own checks.
     """
-    reader = csv.reader(io.StringIO(text))
-    header = _read_header(reader, schema, source)
+    header, body = _read_header(text, schema, source)
     kinds = [schema[name] for name in header]
+    plain = _plain_lines(text, body)
+    blocks = _plain_blocks(*plain, kinds, source) if plain else _csv_blocks(text, kinds, source)
+    parts: list[list[np.ndarray]] = [[] for _ in header]
+    missing = [False] * len(header)  # whether a column has an empty cell
+    errors: list[str | None] = [None] * len(header)  # a column's first cell that does not parse
+    n = 0
+    for rows, decoded in blocks:
+        n += rows
+        for j, (values, empty, error) in enumerate(decoded):
+            parts[j].append(values)
+            missing[j] |= empty
+            errors[j] = errors[j] or error
+    if not n:
+        raise InputError(f"{source}: no data rows")
+    columns = []
+    for name, (kind, arity), part, empty, error in zip(header, kinds, parts, missing, errors):
+        if empty:
+            raise InputError(f"{source}: missing value in column {name!r}")
+        if error:
+            raise InputError(f"{source}: column {name!r}: {error}")
+        columns.append(Column(name, kind, np.concatenate(part), arity))
+    return Dataset(columns)
+
+
+def _plain_lines(text: str, body: int) -> tuple[bytes, int, np.ndarray] | None:
+    """The text's UTF-8 bytes, the byte offset of its body, which starts at
+    character ``body``, and the byte offset of each body line's end (its
+    newline, or the end of the text), if csv would split every body line at
+    its commas alone: no quote, carriage return or NUL, and no line longer
+    than ``csv.field_size_limit()``, counted in bytes, which are never fewer
+    than its characters.  Otherwise None."""
+    if any(text.find(c, body) >= 0 for c in '"\r\0'):
+        return None
+    buf = text.encode("utf-8", "surrogatepass")
+    start = len(text[:body].encode("utf-8", "surrogatepass"))
+    ends = np.flatnonzero(np.frombuffer(buf, np.uint8, offset=start) == ord("\n")) + start
+    if len(buf) > start and buf[-1] != ord("\n"):
+        ends = np.append(ends, len(buf))
+    if np.diff(ends, prepend=start - 1).max(initial=0) > csv.field_size_limit() + 1:
+        return None
+    return buf, start, ends
+
+
+def _plain_blocks(buf: bytes, body: int, ends: np.ndarray, kinds, source: str):
+    """Yield each block of _CSV_BLOCK lines of a plain body, which starts at
+    byte ``body`` of ``buf``, as its number of rows and, per column,
+    (values, whether a cell is empty, the first parse error).
+
+    A block's commas are found on its bytes.  Its rows, the lines that are
+    not blank, have the header's width exactly when there are width - 1
+    commas per row and, cutting the row-ordered commas into groups of that
+    many, no cell ends before it starts; the cells' byte offsets are then
+    two (columns, rows) tables.  Categorical cells are read as digits
+    (_levels); a column slice that is not all canonical levels, and every
+    continuous slice, is decoded to strings.
+    """
+    raw = np.frombuffer(buf, np.uint8)
+    width = len(kinds)
+    limits = np.array(
+        [[min(arity, _LEVELS_CAP) if kind == CATEGORICAL else 0] for kind, arity in kinds]
+    )
+    for first in range(0, len(ends), _CSV_BLOCK):  # body line 0 is file line 2
+        stop = ends[first : first + _CSV_BLOCK]
+        start = np.empty_like(stop)
+        start[0] = ends[first - 1] + 1 if first else body
+        start[1:] = stop[:-1] + 1
+        commas = np.flatnonzero(raw[start[0] : stop[-1]] == ord(",")) + start[0]
+        kept = stop > start  # csv skips a blank line
+        rows = int(np.count_nonzero(kept))
+        if rows < len(stop):
+            start, stop = start[kept], stop[kept]
+        length = None
+        if len(commas) == rows * (width - 1):
+            cuts = commas.reshape(rows, width - 1).T
+            lo = np.concatenate((start[None], cuts + 1))
+            hi = np.concatenate((cuts, stop[None]))
+            length = hi - lo
+        if length is None or length.min(initial=0) < 0:
+            _raise_width(commas, ends[first : first + _CSV_BLOCK], kept, width, first, source)
+        levels, canonical = _levels(raw, lo, length, limits)
+        decoded = []
+        for j, (kind, _) in enumerate(kinds):
+            if canonical[j]:
+                decoded.append((levels[j], False, None))
+                continue
+            cells = [
+                buf[a:b].decode("utf-8", "surrogatepass")
+                for a, b in zip(lo[j].tolist(), hi[j].tolist())
+            ]
+            if kind == CATEGORICAL:
+                decoded.append(_parse_cells(cells, _parse_level, np.int64))
+            else:
+                decoded.append(_decode(cells, float, float, np.float64))
+        yield rows, decoded
+
+
+def _raise_width(commas, stop, kept, width: int, first: int, source: str):
+    """Raise for the first row of a block, its lines ending at ``stop`` and
+    the first of them line ``first`` of the body, that is not ``width``
+    fields wide."""
+    fields = np.searchsorted(commas, stop) + 1
+    fields[1:] -= fields[:-1] - 1
+    i = int((kept & (fields != width)).argmax())
+    raise InputError(f"{source} line {first + i + 2}: expected {width} fields, got {fields[i]}")
+
+
+def _levels(raw: np.ndarray, lo: np.ndarray, length: np.ndarray, limits: np.ndarray):
+    """The levels that the cells of ``raw`` at offsets ``lo`` and of
+    ``length`` bytes spell, a row per column, and whether each column's
+    cells all spell a level canonically: digits only, no leading zero,
+    below its row of ``limits``, which is 0 for a continuous column."""
+    digits = len(str(limits.max() - 1))
+    lead = raw.take(lo, mode="clip") - np.uint8(ord("0"))  # wraps past 9 if not a digit
+    levels = lead.astype(np.int64)
+    canonical = (lead < 10) & ((length == 1) | (lead != 0) & (length > 1) & (length <= digits))
+    for k in range(1, digits):
+        digit = raw.take(lo + k, mode="clip") - np.uint8(ord("0"))
+        within = length > k
+        canonical &= (digit < 10) | ~within
+        levels = np.where(within, levels * 10 + digit, levels)
+    canonical &= levels < limits
+    return levels, canonical.all(axis=1)
+
+
+def _csv_blocks(text: str, kinds, source: str):
+    """Yield each block of _CSV_BLOCK rows that csv reads after the header
+    as _plain_blocks does; a csv error raises after the width of every row
+    read before it is checked."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)  # the header, which has parsed once already
     decoders = [
         (
             ({str(v): v for v in range(min(arity, _LEVELS_CAP))}.__getitem__, _parse_level, np.int64)
@@ -278,11 +412,7 @@ def read_csv_text(
         )
         for kind, arity in kinds
     ]
-    width = len(header)
-    parts: list[list[np.ndarray]] = [[] for _ in header]
-    missing = [False] * width  # whether a column has an empty cell
-    errors: list[str | None] = [None] * width  # a column's first cell that does not parse
-    n = 0
+    width = len(kinds)
     for line in itertools.count(2, _CSV_BLOCK):  # the block's first row; the header is row 1
         block, fault = [], None
         try:
@@ -295,28 +425,18 @@ def read_csv_text(
         if fault is not None:
             raise fault
         flat = list(itertools.chain.from_iterable(block))
-        for j, (decode, parse, dtype) in enumerate(decoders):
-            cells = flat[j::width]
-            try:
-                values = np.fromiter(map(decode, cells), dtype, len(cells))
-            except (KeyError, ValueError):
-                values, empty, error = _parse_cells(cells, parse, dtype)
-                missing[j] |= empty
-                errors[j] = errors[j] or error
-            parts[j].append(values)
-        n += len(flat) // width
+        yield len(flat) // width, [_decode(flat[j::width], *d) for j, d in enumerate(decoders)]
         if len(block) < _CSV_BLOCK:
-            break
-    if not n:
-        raise InputError(f"{source}: no data rows")
-    columns = []
-    for name, (kind, arity), part, empty, error in zip(header, kinds, parts, missing, errors):
-        if empty:
-            raise InputError(f"{source}: missing value in column {name!r}")
-        if error:
-            raise InputError(f"{source}: column {name!r}: {error}")
-        columns.append(Column(name, kind, np.concatenate(part), arity))
-    return Dataset(columns)
+            return
+
+
+def _decode(cells: list[str], decode, parse, dtype) -> tuple[np.ndarray, bool, str | None]:
+    """A column slice decoded in one step with ``decode``, or, if a cell
+    does not decode, cell by cell with _parse_cells."""
+    try:
+        return np.fromiter(map(decode, cells), dtype, len(cells)), False, None
+    except (KeyError, ValueError):
+        return _parse_cells(cells, parse, dtype)
 
 
 def _parse_cells(cells: list[str], parse, dtype) -> tuple[np.ndarray, bool, str | None]:
@@ -342,8 +462,18 @@ def _parse_level(cell: str) -> int:
     return level if -(1 << 63) <= level < 1 << 63 else -1
 
 
-def _read_header(reader, schema, source: str) -> list[str]:
-    """The stripped column names of the first row, each one in the schema."""
+def _read_header(text: str, schema, source: str) -> tuple[list[str], int]:
+    """The stripped column names of the first row, each one in the schema,
+    and the offset in ``text`` where the row after it starts.  csv reads the
+    row from the text's lines as they are needed, not from a copy of it."""
+    ends = [0]  # where each line read so far ends
+
+    def lines():
+        while ends[-1] < len(text):
+            ends.append(text.find("\n", ends[-1]) + 1 or len(text))
+            yield text[ends[-2] : ends[-1]]
+
+    reader = csv.reader(lines())
     try:
         header = [h.strip() for h in next(reader, [])]
     except csv.Error as exc:
@@ -353,7 +483,7 @@ def _read_header(reader, schema, source: str) -> list[str]:
     missing = [h for h in header if h not in schema]
     if missing:
         raise SchemaError(f"{source}: columns not in schema: {missing}")
-    return header
+    return header, ends[-1]
 
 
 def write_csv(d: Dataset, path: str | Path) -> None:

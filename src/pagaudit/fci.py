@@ -48,7 +48,7 @@ from .citests import (  # noqa: F401
     chi_square_batch,
     chi_square_independent,
     chi_square_test,
-    fisher_z_test,
+    fisher_z_columns,
     oracle_test,
 )
 from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset
@@ -357,7 +357,8 @@ class CiTester:
             self._raise_naming(exc, x, y, subsets)
 
     def _raise_naming(self, exc: Exception, x, y, subsets: list):
-        """Raise ``exc`` again, as its own type, with the first query named."""
+        """Raise ``exc`` again, as its own type, with the first query named;
+        if its type cannot be built from one message, raise it unchanged."""
         names = self.names
         if not isinstance(x, int):
             x, y = x[0], y[0]
@@ -367,7 +368,9 @@ class CiTester:
         try:
             wrapped = type(exc)(f"{exc} [while testing {query}]")
         except TypeError:
-            raise
+            wrapped = None
+        if wrapped is None:
+            raise exc
         raise wrapped from exc
 
 
@@ -418,11 +421,11 @@ def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
         return (lambda x, y, s, z: separated(x, y, z)), None
     test = select_test(source, cfg.test)
     if test == "fisherz":
-        names = tuple(source.names)
+        values = [c.values for c in source.columns]
 
         def fisher_z(x: int, y: int, s, z: int) -> bool:
-            s = tuple(names[v] for v in s)
-            return fisher_z_test(source, names[x], names[y], s, cfg.alpha).independent
+            columns = [values[x], values[y], *(values[v] for v in s)]
+            return fisher_z_columns(columns, cfg.alpha).independent
 
         return fisher_z, None
     table = source if isinstance(source, CountTable) else CountTable.of(source)

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from helpers import reference_read_csv_text
 from pagaudit import data
 from pagaudit.data import (
     _CSV_BLOCK,
+    _LEVELS_CAP,
     Column,
     CountTable,
     Dataset,
@@ -172,11 +175,25 @@ def test_count_table_needs_categorical_columns():
 
 # -- read_csv_text against the row-at-a-time reference ----------------------------
 
-CSV_SCHEMA = {"a": ("cat", 2), "b": ("cat", 3), "c": ("cat", 12), "x": ("cont", None)}
+# g has levels of up to four digits, past the lookup cap; the name ñ takes
+# two bytes in UTF-8, so byte offsets past it differ from character offsets
+CSV_SCHEMA = {
+    "a": ("cat", 2),
+    "b": ("cat", 3),
+    "c": ("cat", 12),
+    "g": ("cat", _LEVELS_CAP + 904),
+    "x": ("cont", None),
+    "ñ": ("cat", 150),
+}
+FIELD_LIMIT = csv.field_size_limit()
 # cells in canonical form, then cells that are not: padded, signed, quoted,
-# past int64, empty, non-numbers, a carriage return inside a field
+# past int64, empty, non-numbers, a carriage return or NUL inside a field,
+# non-ASCII digits and spaces
+EDGE_LEVELS = (9, 10, 99, 100, 149, 999, 1000, _LEVELS_CAP - 1, _LEVELS_CAP, _LEVELS_CAP + 903)
 CANONICAL = {
-    "cat": lambda arity: st.integers(0, arity - 1).map(str),
+    "cat": lambda arity: st.one_of(
+        st.integers(0, arity - 1), st.sampled_from([v for v in EDGE_LEVELS if v < arity] or [0])
+    ).map(str),
     "cont": lambda _: st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-5, 5).map(str)
     ),
@@ -186,18 +203,19 @@ ODD = {
         st.integers(0, 12).map(str),
         st.sampled_from([" 1", "1 ", "01", "+1", "-0", "-1", '"1"', '"1,0"', "1.0", "1_0"]),
         st.sampled_from(["99999999999999999999", "-99999999999999999999", str(2**63)]),
-        st.sampled_from(["", "  ", "zap", "\u0661", "0x1", "1\r0"]),
+        st.sampled_from(["", "  ", "zap", "\u0661", "0x1", "1\r0", "1\x00", "\x00"]),
+        st.sampled_from(["\u00a01", "1\u3000", "é", "\u0661\u0660"]),
     ),
     "cont": st.one_of(
         st.sampled_from(["1e3", " 2.5", "2.5 ", '"0.5"', "-0", "1_0", "nan", "inf", "-inf"]),
-        st.sampled_from(["", "  ", "zap", "1,5", "1\r0"]),
+        st.sampled_from(["", "  ", "zap", "1,5", "1\r0", "0.5\x00", "\u00a00.5", "\u0661.5"]),
     ),
 }
 
 
 def _filler(header, k):
     """k rows of canonical cells."""
-    levels = {"a": "1", "b": "2", "c": "11", "x": "0.5"}
+    levels = {"a": "1", "b": "2", "c": "11", "g": str(_LEVELS_CAP - 1), "x": "0.5", "ñ": "149"}
     return [",".join(levels[h] for h in header)] * k
 
 
@@ -212,10 +230,12 @@ def csv_texts(draw):
 
     def row():
         out = [draw(CANONICAL[kind](arity)) for kind, arity in kinds]
-        fault = draw(st.sampled_from([None] * 6 + ["cell", "blank", "spaces", "short", "long"]))
-        if fault == "cell":
+        fault = draw(
+            st.sampled_from([None] * 6 + ["cell", "blank", "spaces", "short", "long", "huge"])
+        )
+        if fault in ("cell", "huge"):
             j = draw(st.integers(0, len(out) - 1))
-            out[j] = draw(ODD[kinds[j][0]])
+            out[j] = draw(ODD[kinds[j][0]]) if fault == "cell" else "1" * (FIELD_LIMIT + 1)
         return {
             "blank": "",
             "spaces": "   ",
@@ -223,7 +243,7 @@ def csv_texts(draw):
             "long": ",".join(out + ["0"]),
         }.get(fault, ",".join(out))
 
-    lines = []
+    lines = [""] * draw(st.integers(0, 2))  # leading blank lines
     for _ in range(draw(st.integers(0, 4))):
         if draw(st.booleans()):
             lines += _filler(header, _CSV_BLOCK + draw(st.integers(-1, 1)))
@@ -264,6 +284,28 @@ def _csv(*rows):
 @example(text=_csv("a,x", "7,0.5", "1,"))  # a level out of range in a, a missing value in x
 @example(text=_csv("a,x", "99999999999999999999,0.5", "1,"))  # the same, past int64
 @example(text=_csv("a,x", "-99999999999999999999,0.5", ",0.5"))  # a missing value outranks it
+# a quote, a NUL or a field past csv's limit first in a later block, and a
+# line exactly at the limit
+@example(text=_csv("a,x", *_filler(["a", "x"], _CSV_BLOCK + 3), '"1",0.5', "0,0.5"))
+@example(text=_csv("a,x", *_filler(["a", "x"], _CSV_BLOCK + 3), "1\x00,0.5", "0,0.5"))
+@example(text=_csv("a,x", *_filler(["a", "x"], _CSV_BLOCK + 3), "1," + "5" * FIELD_LIMIT))
+@example(text=_csv("a", *_filler(["a"], 2 * _CSV_BLOCK), "1" * FIELD_LIMIT))
+@example(text=_csv("a", "1", "1" * (FIELD_LIMIT - 1) + "é"))  # limit chars, more bytes
+# leading, consecutive and trailing blank lines; no newline after the last row
+@example(text=_csv("a,x", "", "", "1,0.5", "", "", "0,0.5", "", ""))
+@example(text="a,x\n\n1,0.5\n0,0.5")
+@example(text="a\n1\n\n0")
+@example(text=_csv("a", *[""] * (_CSV_BLOCK + 1), "1"))  # a block of blank lines only
+# non-ASCII names and cells ahead of canonical cells
+@example(text=_csv("ñ,a", "\u00a01,1", "149,0", "\u0661\u0660,1", "3,0"))
+@example(text=_csv("x,ñ", "\u0661.5,7", "é,1", "0.5,12"))
+# levels of 2-4 digits, at and past the lookup cap, in one-column files
+@example(text=_csv("g", "10", "99", "100", "999", "1000", str(_LEVELS_CAP - 1)))
+@example(text=_csv("g", str(_LEVELS_CAP), str(_LEVELS_CAP + 903), "0"))
+@example(text=_csv("g", str(_LEVELS_CAP + 904)))  # out of range
+@example(text=_csv("ñ", "150", "0150"))
+@example(text=_csv("g,ñ", "1_0,1", "2,1x", "3,2"))  # a non-digit after the first digit
+@example(text=_csv("c", "12"))
 def test_read_csv_text_matches_the_row_reference(text):
     _assert_matches_reference(text)
 
@@ -305,7 +347,35 @@ def test_canonical_text_is_decoded_without_parsing_cells(monkeypatch):
         f"{a},{c},{x!r}\n" for a, c, x in zip(*(col.values.tolist() for col in d.columns))
     )
     monkeypatch.setattr(data, "_parse_cells", None)  # calling it would raise
+    seen = _lines_seen_by_csv(monkeypatch)
     assert read_csv_text(text, CSV_SCHEMA) == d
+    assert seen == ["a,c,x\n"]  # csv parses the header only
+
+
+def _lines_seen_by_csv(monkeypatch):
+    """The lines every csv.reader made from now on reads, in order."""
+    seen, reader = [], csv.reader
+    monkeypatch.setattr(csv, "reader", lambda lines: reader(seen.append(x) or x for x in lines))
+    return seen
+
+
+@pytest.mark.parametrize(
+    "body, plain",
+    [
+        ("1,0.5\n0,0.5\n", True),
+        ("\n\n1,0.5\n\n0,0.5", True),  # blank lines, no newline at the end
+        ("\u00a01,0.5\n", True),
+        ("1," + "5" * (FIELD_LIMIT - 2) + "\n", True),  # a line at csv's field limit
+        ("1," + "5" * (FIELD_LIMIT - 1) + "\n", False),
+        ("1,0.5\n" * _CSV_BLOCK + '1,"0.5"\n', False),
+        ("1,0.5\n" * _CSV_BLOCK + "1,0.5\r\n", False),
+        ("1,0.5\n" * _CSV_BLOCK + "1,0.5\x00\n", False),
+    ],
+)
+def test_only_a_plain_body_is_split_without_csv(monkeypatch, body, plain):
+    seen = _lines_seen_by_csv(monkeypatch)
+    _outcome(read_csv_text, '"a",x\n' + body)  # a quoted header is not part of the body
+    assert (seen == ['"a",x\n']) == plain
 
 
 def test_a_padded_cell_sends_only_its_column_slice_to_the_cell_parser(monkeypatch):
@@ -322,6 +392,27 @@ def test_a_padded_cell_sends_only_its_column_slice_to_the_cell_parser(monkeypatc
     assert slices == [["11"] * 5 + [" 3"] + ["11"] * 4]  # column c of the third block
     assert got == reference_read_csv_text(text, CSV_SCHEMA)
     assert got.col("c").values[2 * _CSV_BLOCK + 5] == 3
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [("a", "2"), ("c", "01"), ("ñ", "0150"), ("g", str(_LEVELS_CAP)), ("g", " 1"), ("x", "١")],
+)
+def test_plain_and_csv_bodies_send_the_same_slices_to_the_cell_parser(monkeypatch, column, cell):
+    # a level that is out of range, zero-padded or past the lookup cap is not
+    # canonical on either path; CRLF line ends send the same cells through csv
+    parse_cells, slices = data._parse_cells, {}
+    lines = [column, *_filler([column], _CSV_BLOCK + 2), cell, *_filler([column], 3)]
+    for eol in ("\n", "\r\n"):
+        calls = slices[eol] = []
+
+        def spy(cells, *args):
+            calls.append(cells)
+            return parse_cells(cells, *args)
+
+        monkeypatch.setattr(data, "_parse_cells", spy)
+        _assert_matches_reference(eol.join(lines) + eol)
+    assert len(slices["\n"]) == (column != "x") and slices["\n"] == slices["\r\n"]
 
 
 def test_levels_past_the_lookup_cap_are_parsed_cell_by_cell():

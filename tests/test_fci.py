@@ -165,6 +165,30 @@ def test_test_errors_carry_the_query():
     assert isinstance(err.value.__cause__, ValueError)
 
 
+class TwoPartError(Exception):
+    """An error whose type cannot be built from one message."""
+
+    def __init__(self, what, where):
+        super().__init__(what, where)
+
+
+@pytest.mark.parametrize("kind, test", [("cat", "chi2"), ("cont", "fisherz")])
+def test_an_error_that_cannot_take_the_query_is_raised_unchanged(kind, test):
+    error = TwoPartError("boom", "decider")
+
+    def broken(*args):
+        raise error
+
+    arity = 2 if kind == "cat" else None
+    d = Dataset([Column(name, kind, np.array([0, 1, 0, 1]), arity) for name in "ab"])
+    tester = CiTester(d, FciConfig(test=test))
+    tester._decide = broken
+    with pytest.raises(TwoPartError) as err:
+        tester(0, 1, ())
+    assert err.value is error and err.value.args == ("boom", "decider")
+    assert err.value.__cause__ is None and err.value.__context__ is None
+
+
 @pytest.mark.parametrize(
     "third, message",
     [
@@ -400,12 +424,12 @@ def test_tester_runs_the_selected_test(monkeypatch, kind, selector, expected):
         calls.append(("chi2", variant))
         return np.zeros(len(arities)), np.ones(len(arities), dtype=np.int64)
 
-    def fisherz(d, x, y, s, alpha):
+    def fisherz(columns, alpha):
         calls.append(("fisherz",))
         return independent
 
     monkeypatch.setattr(fci_module, "chi_square_batch", chi2)
-    monkeypatch.setattr(fci_module, "fisher_z_test", fisherz)
+    monkeypatch.setattr(fci_module, "fisher_z_columns", fisherz)
     arity = 2 if kind == "cat" else None
     d = Dataset([Column(name, kind, np.array([0, 1, 0, 1]), arity) for name in "ab"])
     assert CiTester(d, FciConfig(test=selector))(0, 1, ()) is True
