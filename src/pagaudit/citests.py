@@ -298,18 +298,19 @@ class CiOracle:
     Only ``observed`` nodes, which must be distinct, may be queried; the rest
     act as latent variables.  The truth must pass ``graph.validate`` as a DAG
     (directed edges only, no directed cycle).  Its parent and child sets are
-    compiled to bitmasks at construction, relabelled so that the node at
-    position i of ``observed`` is node i, and the latent nodes follow in
-    truth order: a set of observed positions is then its own conditioning
-    mask.  The oracle answers from the truth as it was then: later edits to
-    ``truth`` do not reach it.
+    compiled at construction to the bitmasks ``parents`` and ``children``,
+    relabelled so that the node at position i of ``observed`` is node i, and
+    the latent nodes follow in truth order: a set of observed positions is
+    then its own conditioning mask, and ``graph.bayes_ball_separated`` on the
+    two lists answers a query of positions.  The oracle answers from the
+    truth as it was then: later edits to ``truth`` do not reach it.
     """
 
     truth: MixedGraph
     observed: tuple[str, ...]
     _position: dict[str, int] = field(init=False, repr=False, compare=False)
-    _parents: list[int] = field(init=False, repr=False, compare=False)
-    _children: list[int] = field(init=False, repr=False, compare=False)
+    parents: list[int] = field(init=False, repr=False, compare=False)
+    children: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.truth.kind is not GraphKind.DAG:
@@ -330,22 +331,8 @@ class CiOracle:
         parents, children = directed_masks(self.truth)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "_position", {name: i for i, name in enumerate(observed)})
-        object.__setattr__(self, "_parents", [relabel(parents[old]) for old in order])
-        object.__setattr__(self, "_children", [relabel(children[old]) for old in order])
-
-    def separated(self, x: int, y: int, s=()) -> bool:
-        """True iff observed nodes x and y are d-separated given the observed
-        nodes s, each given by its position in ``observed``; x, y and s must
-        be distinct, which is not checked."""
-        z = 0
-        for v in s:
-            z |= 1 << v
-        return self.separated_given_mask(x, y, z)
-
-    def separated_given_mask(self, x: int, y: int, z: int) -> bool:
-        """``separated`` with the conditioning set given as the bitmask ``z``
-        of its positions in ``observed``."""
-        return bayes_ball_separated(self._parents, self._children, x, y, z)
+        object.__setattr__(self, "parents", [relabel(parents[old]) for old in order])
+        object.__setattr__(self, "children", [relabel(children[old]) for old in order])
 
 
 def oracle_test(o: CiOracle, x: str, y: str, s=()) -> bool:
@@ -359,4 +346,7 @@ def oracle_test(o: CiOracle, x: str, y: str, s=()) -> bool:
         raise InputError("x and y must be distinct")
     if x in s or y in s:
         raise InputError("x and y must not be in the conditioning set")
-    return o.separated(position[x], position[y], [position[name] for name in s])
+    z = 0
+    for name in s:
+        z |= 1 << position[name]
+    return bayes_ball_separated(o.parents, o.children, position[x], position[y], z)

@@ -37,6 +37,8 @@ CONTINUOUS = "cont"
 
 @dataclass(frozen=True)
 class Column:
+    """One named column; it keeps its own read-only copy of ``values``."""
+
     name: str
     kind: str  # CATEGORICAL or CONTINUOUS
     values: np.ndarray
@@ -57,7 +59,7 @@ class Column:
         else:
             if self.arity is not None:
                 raise SchemaError(f"column {self.name!r}: continuous has no arity")
-            v = np.asarray(self.values, dtype=np.float64)
+            v = np.array(self.values, dtype=np.float64)
             if v.size and not np.isfinite(v).all():
                 raise InputError(f"column {self.name!r}: non-finite or missing values")
             object.__setattr__(self, "values", v)

@@ -14,20 +14,22 @@ methods; a neighbour set is the set bits of a mask, in node order.
 Each CI walk, one ordered pair and its candidate sets, stops at the first
 independence.  ``CiTester`` picks how it walks from its decider when it is
 built: chi-square scores a walk's uncached sets in batches of growing size,
-while the oracle and Fisher-z answer one query at a time by column index, in
-a plain loop.  The oracle is handed the conditioning set as the bitmask that
-the query's cache key already holds, since its masks number the observed
-nodes by column.
+while the oracle and Fisher-z answer one query (x, y, z) at a time by column
+index, in a plain loop, z being the bitmask of the conditioning set that the
+query's cache key already holds.  The oracle's answer is Bayes-ball on its
+own masks, which number the observed nodes by column.
 
 A chi-square tester scores ahead: at the start of each skeleton depth, and
 once before Possible-D-SEP, it is given every walk that stage may run (an
 ordered pair and its sets, from the adjacency at the start of the depth, or
 from the fixed Possible-D-SEP sets) and scores the sets of all the short
-walks, those too short to fill a batch, in a few kernel calls.  The walks
-then run in order as before and stop at their first independence; a walk
-takes a score-ahead result only for its own query in its own orientation, so
-the graph, the separating sets and every counter are those of a run without
-the step.
+walks, those too short to fill a batch, in a few kernel calls.  The results
+wait in the tester's one cache, keyed by the unordered query like every
+answer, and count as a test only when a walk first reads them.  The walks
+then run in order as before and stop at their first independence, so the
+graph, the separating sets and every counter are those of a run without the
+step.  As with any cached answer, a walk may read a result scored with the
+pair the other way round.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .errors import (
     InternalConsistencyError,
     KnowledgeInconsistencyError,
 )
-from .graph import BackgroundKnowledge, GraphKind, Mark, MixedGraph, bits
+from .graph import BackgroundKnowledge, GraphKind, Mark, MixedGraph, bayes_ball_separated, bits
 
 __all__ = [
     "FciConfig",
@@ -175,24 +177,27 @@ class CiTester:
 
     Wraps a dataset-backed test or an oracle, chosen once at construction;
     counts evaluations, cache hits and zero-dof (uninformative) results.  A
-    query's cache key is one integer: the bitmask of S above the pair.
+    query's cache key is one integer: the bitmask of S above the pair.  The
+    key does not say which way round the pair was asked, so an answer serves
+    both orientations.
 
     The decider also picks the walk of ``first_independent``.  Chi-square,
     which scores many sets in one kernel call, walks in batches of growing
     size.  The oracle and Fisher-z answer one query at a time, by index, so
     their walk is a plain loop over the sets: a cache lookup, else one
     answer, then the counters, up to the first independence.  Each set is
-    read once, to build its key; an answer is given the set and its bitmask,
-    the key shifted down past the pair, from which the oracle answers.
+    read once, to build its key; the answer is given the pair and the
+    bitmask of S, the key shifted down past the pair.
 
     A chi-square tester scores ahead (``score_ahead``): the uncached sets of
     every walk of a stage that has fewer than ``_first_batch`` of them are
-    scored before the walks run, each unordered query once, in the
-    orientation of the first walk that asks for it.  A walk uses such a
-    result only for the same query in the same orientation, since reversing
-    the pair can change the last bit of a statistic, and counts it then as a
-    fresh test.  Results no walk used are dropped at the next stage, so the
-    counters and the cache see exactly the sets the walks use.
+    scored before the walks run, each unordered query once, and cached as
+    unused results, the decider's (independent, uninformative) pair.  An
+    unused result counts as a test, and becomes a plain cached decision, the
+    first time a walk reads it, in either orientation and in this stage or a
+    later one; one that no walk reads is never counted.  So the counters see
+    exactly the sets the walks use, and no query scored ahead is scored
+    again.
     """
 
     def __init__(
@@ -203,7 +208,9 @@ class CiTester:
     ):
         self.cfg = cfg
         self.diagnostics = diagnostics if diagnostics is not None else Diagnostics()
-        self._cache: dict[int, bool] = {}
+        # a decision by cache key, or an unused (independent, uninformative)
+        # result scored ahead
+        self._cache: dict[int, bool | tuple[bool, bool]] = {}
         if isinstance(source, CiOracle):
             self.names = tuple(source.observed)
         elif isinstance(source, (Dataset, CountTable)):
@@ -215,9 +222,6 @@ class CiTester:
         self._member = [1 << (v + 2 * self._bits) for v in range(len(self.names))]
         self._decide, rows = _decider(source, cfg)
         self._batched = rows is not None
-        # this stage's score-ahead results: (independent, uninformative) by
-        # cache key, shifted left one bit for the orientation (x > y)
-        self._ahead: dict[int, tuple[bool, bool]] = {}
         self._first_batch = max(1, _BATCH_START // rows) if rows else 1
         self._max_batch = max(1, _BATCH_CAP // rows) if rows else 1
 
@@ -230,48 +234,40 @@ class CiTester:
         ``walks`` yields (x, y, sets) for each walk the stage may run, in
         order.  A walk with fewer than ``_first_batch`` sets not in the cache
         would score them in a kernel call of its own that they under-fill;
-        these sets are scored together, in as few calls as their arities
-        allow.  A longer walk fills its own first batch and is left to run.
-        A query already taken from an earlier walk, in either orientation, is
-        not taken again.  The last stage's unused results are dropped.  A
-        tester that goes one set at a time returns at once, without reading
-        ``walks``.
+        these sets are scored together, each unordered query once, in as few
+        calls as their arities allow, and cached as unused results.  A longer
+        walk fills its own first batch and is left to run.  A tester that
+        goes one set at a time returns at once, without reading ``walks``.
         """
         if not self._batched:
             return
-        self._ahead = {}
         cache, member, width = self._cache, self._member, self._bits
-        taken: dict[int, int] = {}  # cache key -> key with its orientation bit
-        xs, ys, sets = [], [], []
+        queries = {}  # cache key -> (x, y, set) of the first walk that asks
         for x, y, subsets in walks:
             pair = (x << width | y) if x < y else (y << width | x)
-            flip = x > y
-            first, keys = [], []
+            first = {}
             for s in subsets:
                 key = pair
                 for v in s:
                     key |= member[v]
                 if key not in cache:
-                    first.append(s)
-                    keys.append(key)
+                    first[key] = s
                     if len(first) == self._first_batch:
                         break
             else:
                 # a short walk: on its own, its sets would under-fill a batch
-                for s, key in zip(first, keys):
-                    if key not in taken:
-                        taken[key] = key << 1 | flip
-                        xs.append(x)
-                        ys.append(y)
-                        sets.append(s)
-        if sets:
-            self._ahead = dict(zip(taken.values(), self._evaluate(xs, ys, sets)))
+                for key, s in first.items():
+                    queries.setdefault(key, (x, y, s))
+        if queries:
+            xs, ys, sets = zip(*queries.values())
+            cache.update(zip(queries, self._evaluate(xs, ys, sets)))
 
     def first_independent(self, x: int, y: int, subsets):
         """The first set S, in the order given, with x _||_ y | S, or None.
 
-        The walk stops at the first independence: the counters and the cache
-        see exactly the sets up to it, as in a one-at-a-time walk.
+        The walk stops at the first independence: the counters see exactly
+        the sets up to it, as in a one-at-a-time walk, and the cache holds no
+        result past it but those scored ahead.
         """
         if self._batched:
             return self._walk_batches(x, y, subsets)
@@ -285,7 +281,7 @@ class CiTester:
             known = cache.get(key)
             if known is None:
                 try:
-                    known = answer(x, y, s, key >> shift)
+                    known = answer(x, y, key >> shift)
                 except Exception as exc:
                     self._raise_naming(exc, x, y, [s])
                 diag.tests_run += 1
@@ -299,44 +295,36 @@ class CiTester:
     def _walk_batches(self, x: int, y: int, subsets):
         """``first_independent`` for a decider that scores sets in batches.
 
-        Sets are looked up in the cache, then among this stage's score-ahead
-        results, in order; the others are evaluated in batches of growing
-        size, then resolved in order, and results computed past the stop are
-        dropped.
+        Sets are looked up in the cache in order; the others are evaluated in
+        batches of growing size, then resolved in order, and results computed
+        past the stop are dropped.  An unused result scored ahead is resolved
+        like a new one.
         """
-        diag = self.diagnostics
-        cache, ahead, member = self._cache, self._ahead, self._member
+        diag, cache, member = self.diagnostics, self._cache, self._member
         pair = (x << self._bits | y) if x < y else (y << self._bits | x)
-        flip = x > y
         size = self._first_batch
         subsets = iter(subsets)
         while True:
-            # (set, key, cached decision, score-ahead result) per set
+            # (set, key, cache entry) per set
             block, pending = [], []
             for s in subsets:
                 key = pair
                 for v in s:
                     key |= member[v]
                 known = cache.get(key)
+                block.append((s, key, known))
                 if known is None:
-                    scored = ahead.get(key << 1 | flip) if ahead else None
-                    block.append((s, key, None, scored))
-                    if scored is None:
-                        pending.append(s)
-                        if len(pending) == size:
-                            break
-                    elif scored[0]:
+                    pending.append(s)
+                    if len(pending) == size:
                         break
-                else:
-                    block.append((s, key, known, None))
-                    if known:
-                        break
+                elif known[0] if known.__class__ is tuple else known:
+                    break
             if not block:
                 return None
             results = iter(self._evaluate(x, y, pending) if pending else ())
-            for s, key, known, scored in block:
-                if known is None:
-                    known, uninformative = scored or next(results)
+            for s, key, known in block:
+                if known is None or known.__class__ is tuple:
+                    known, uninformative = known or next(results)
                     diag.tests_run += 1
                     diag.dof_zero_warnings += uninformative
                     cache[key] = known
@@ -344,13 +332,11 @@ class CiTester:
                     diag.cache_hits += 1
                 if known:
                     return s
-            # score-ahead took only sets that the first block has read
-            ahead = None
             size = min(4 * size, self._max_batch)
 
     def _evaluate(self, x, y, subsets: list) -> list[tuple[bool, bool]]:
         """The decider's answers for one pair (int x, y) or for a pair per
-        set (lists x, y), with a failure naming the first query."""
+        set (sequences x, y), with a failure naming the first query."""
         try:
             return self._decide(x, y, subsets)
         except Exception as exc:
@@ -409,22 +395,21 @@ def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
     Chi-square runs on the source's count table: its decision maps indices
     (x, y, [S, ...]) to one (independent, uninformative) pair per set, scored
     in few kernel calls, and comes with the number of distinct rows it
-    counts, by which the tester sizes its batches; it also takes lists x, y
-    with a pair per set, the queries of a score-ahead step.  The oracle and
-    Fisher-z answer one query (x, y, S, z) of indices, z the bitmask of S,
-    with a bool (rows None).
+    counts, by which the tester sizes its batches; it also takes sequences
+    x, y with a pair per set, the queries of a score-ahead step.  The oracle
+    and Fisher-z answer one query (x, y, z) of indices, z the bitmask of S,
+    with a bool (rows None): the oracle is Bayes-ball on its own masks.
     An oracle source always uses the oracle; a dataset's test is chosen by
     ``select_test``.
     """
     if isinstance(source, CiOracle):
-        separated = source.separated_given_mask
-        return (lambda x, y, s, z: separated(x, y, z)), None
+        return partial(bayes_ball_separated, source.parents, source.children), None
     test = select_test(source, cfg.test)
     if test == "fisherz":
         values = [c.values for c in source.columns]
 
-        def fisher_z(x: int, y: int, s, z: int) -> bool:
-            columns = [values[x], values[y], *(values[v] for v in s)]
+        def fisher_z(x: int, y: int, z: int) -> bool:
+            columns = [values[x], values[y], *(values[v] for v in bits(z))]
             return fisher_z_columns(columns, cfg.alpha).independent
 
         return fisher_z, None

@@ -196,8 +196,8 @@ class MixedGraph:
             for j in bits(mask >> (i + 1) << (i + 1))
         }
 
-    def copy(self, kind: GraphKind | str | None = None) -> "MixedGraph":
-        g = MixedGraph(self.names, self.kind if kind is None else kind)
+    def copy(self) -> "MixedGraph":
+        g = MixedGraph(self.names, self.kind)
         g.adj = self.adj[:]
         g.marks = [row[:] for row in self.marks]
         return g

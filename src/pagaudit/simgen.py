@@ -45,9 +45,12 @@ TRUTH_EDGES = (
 )
 
 DEFAULT_TARGET = "Yhat"
+OUTCOME = "Y"
+_FIT_TOL = 1e-8
+_FIT_MAX_ITER = 200
 
 
-def truth_dag(outcome_name: str = "Y") -> MixedGraph:
+def truth_dag(outcome_name: str = OUTCOME) -> MixedGraph:
     """The fixed 7-node generating DAG; the outcome node can be relabeled."""
     names = tuple(outcome_name if n == "Y" else n for n in TRUTH_NODES)
     g = MixedGraph(names, GraphKind.DAG)
@@ -95,21 +98,20 @@ def sample_dataset(n: int, seed: int, include_c: bool = True) -> Dataset:
     return Dataset(cols)
 
 
-def fit_logistic(
-    x: np.ndarray, y: np.ndarray, tol: float = 1e-8, max_iter: int = 200
-) -> np.ndarray:
+def fit_logistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Maximum-likelihood logistic coefficients (intercept first).
 
     Newton ascent from zero on the log-likelihood until the gradient's
-    max-norm falls below ``tol``.  The problem is concave, so the optimum
-    does not depend on the starting point once the iteration converges.
+    max-norm falls below ``_FIT_TOL``, for at most ``_FIT_MAX_ITER`` steps.
+    The problem is concave, so the optimum does not depend on the starting
+    point once the iteration converges.
     """
     x = np.column_stack([np.ones(len(y)), x])
     beta = np.zeros(x.shape[1])
-    for _ in range(max_iter):
+    for _ in range(_FIT_MAX_ITER):
         p = expit(x @ beta)
         grad = x.T @ (y - p)
-        if np.max(np.abs(grad)) < tol:
+        if np.max(np.abs(grad)) < _FIT_TOL:
             return beta
         w = np.clip(p * (1.0 - p), 1e-12, None)
         hess = (x * w[:, None]).T @ x
@@ -128,13 +130,8 @@ def fit_logistic(
 SURROGATE_PREDICTORS = ("H", "V", "C", "R")
 
 
-def surrogate_predictor(
-    d: Dataset,
-    mode: str = "perfect",
-    target_name: str = DEFAULT_TARGET,
-    outcome: str = "Y",
-) -> Dataset:
-    """Replace the outcome column with a prediction column.
+def surrogate_predictor(d: Dataset, mode: str = "perfect") -> Dataset:
+    """Replace the outcome column Y with a prediction column Yhat.
 
     ``perfect`` copies the outcome; ``logistic`` fits an ML logistic model of
     the outcome on whichever of H, V, C, R are present and thresholds the
@@ -143,9 +140,9 @@ def surrogate_predictor(
     """
     if mode not in ("perfect", "logistic"):
         raise InputError(f"unknown surrogate mode {mode!r}")
-    ycol = d.col(outcome)
+    ycol = d.col(OUTCOME)
     if ycol.kind != CATEGORICAL or ycol.arity != 2:
-        raise InputError(f"outcome column {outcome!r} must be binary categorical")
+        raise InputError(f"outcome column {OUTCOME!r} must be binary categorical")
     y = ycol.values
     if mode == "perfect":
         yhat = y.copy()
@@ -154,22 +151,16 @@ def surrogate_predictor(
         if not feats:
             raise InputError("logistic surrogate needs at least one of H, V, C, R")
         if y.min() == y.max():
-            raise FitError(f"outcome {outcome!r} is constant; nothing to fit")
+            raise FitError(f"outcome {OUTCOME!r} is constant; nothing to fit")
         x = np.column_stack([d.col(f).values.astype(np.float64) for f in feats])
         beta = fit_logistic(x, y.astype(np.float64))
         prob = expit(np.column_stack([np.ones(d.n), x]) @ beta)
         yhat = (prob > 0.5).astype(np.int64)
-    out = d.drop(outcome)
-    return out.with_column(Column(target_name, CATEGORICAL, yhat, 2))
+    out = d.drop(OUTCOME)
+    return out.with_column(Column(DEFAULT_TARGET, CATEGORICAL, yhat, 2))
 
 
-def simulate(
-    n: int,
-    seed: int,
-    include_c: bool = False,
-    mode: str = "logistic",
-    target_name: str = DEFAULT_TARGET,
-) -> Dataset:
+def simulate(n: int, seed: int, include_c: bool = False, mode: str = "logistic") -> Dataset:
     """Sample the full system, predict with the surrogate, export features.
 
     The surrogate always sees all four shape indicators (the predictor
@@ -178,5 +169,5 @@ def simulate(
     Column order is H, V [, C], R, prediction.
     """
     full = sample_dataset(n, seed, include_c=True)
-    pred = surrogate_predictor(full, mode=mode, target_name=target_name)
+    pred = surrogate_predictor(full, mode=mode)
     return pred if include_c else pred.drop("C")

@@ -95,6 +95,17 @@ def test_columns_are_immutable():
         d.col("a").values[0] = 1
 
 
+@pytest.mark.parametrize("kind, arity", [("cat", 8), ("cont", None)])
+def test_a_column_keeps_its_own_read_only_copy(kind, arity):
+    a = np.zeros(3, dtype=np.int64 if kind == "cat" else np.float64)
+    view = a[:]
+    c = Column("c", kind, a, arity)
+    assert c.values is not a and not c.values.flags.writeable
+    a[1] = 1  # the caller's array stays writable
+    view[0] = 7
+    assert c.values.tolist() == [0, 0, 0]
+
+
 def test_drop_and_with_column():
     d = read_csv_text("a,b,x\n0,2,1.5\n1,0,2.0\n", SCHEMA)
     assert d.drop("b").names == ["a", "x"]

@@ -297,6 +297,34 @@ def test_xray8_replicates_take_few_kernel_calls(monkeypatch):
     assert calls <= 12 * replicates
 
 
+def test_a_tester_never_scores_the_same_query_twice(monkeypatch):
+    # a result scored ahead waits in the cache until a walk reads it, in
+    # either orientation, at a later depth or in Possible-D-SEP
+    decider, twice = fci_module._decider, []
+
+    def counting(source, cfg):
+        decide, rows = decider(source, cfg)
+        scored = set()
+
+        def counted(x, y, subsets):
+            pairs = itertools.repeat((x, y)) if isinstance(x, int) else zip(x, y)
+            for (a, b), s in zip(pairs, subsets):
+                query = (min(a, b), max(a, b), frozenset(s))
+                if query in scored:
+                    twice.append(query)
+                scored.add(query)
+            return decide(x, y, subsets)
+
+        return counted, rows
+
+    monkeypatch.setattr(fci_module, "_decider", counting)
+    for seed in range(5):
+        table = CountTable.of(xray_like_standin(seed))
+        for i in range(8):
+            fci_run(bootstrap_replicate(table, 1, i), cfg=FciConfig(test="chi2"), target="label")
+    assert twice == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
