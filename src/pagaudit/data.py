@@ -213,6 +213,8 @@ def parse_schema(text: str) -> dict[str, tuple[str, int | None]]:
                 arity = int(parts[2])
             except ValueError:
                 raise SchemaError(f"schema line {ln}: bad arity {parts[2]!r}") from None
+            if arity >= 1 << 63:
+                raise SchemaError(f"schema line {ln}: arity {parts[2]} is past int64")
             name, spec = parts[0], (CATEGORICAL, arity)
         else:
             raise SchemaError(f"schema line {ln}: expected name:cat:<arity> or name:cont")

@@ -11,6 +11,14 @@ run is a deterministic function of its inputs.  The stages work on the
 mark table ``marks``, indexed by node without the checks of its public
 methods; a neighbour set is the set bits of a mask, in node order.
 
+Both pruning stages, each skeleton depth and Possible-D-SEP, go through one
+stage runner, ``_run_stage``: it walks each adjacent pair (x, y) through the
+subsets of a candidate mask of x minus y, and leaves out the later walk of a
+pair when the earlier one, of (y, x), asked all its sets.  That rests on a
+test answering (x, y, S) and (y, x, S) alike, which the tester's cache, keyed
+by the unordered query, already assumes; only the left-out walk's cache hits
+go.
+
 Each CI walk, one ordered pair and its candidate sets, stops at the first
 independence.  ``CiTester`` picks how it walks from its decider when it is
 built: chi-square scores a walk's uncached sets in batches of growing size,
@@ -499,37 +507,53 @@ def _first_independent(test, x: int, y: int, subsets):
     return next((s for s in subsets if test(x, y, s)), None)
 
 
-def _walk_stage(test, walks, graph: MixedGraph, sepsets: SepSetMap) -> None:
-    """Run a stage's walks in order, removing each edge at its walk's first
-    independence and recording the set.
+def _run_stage(test, g: MixedGraph, sepsets: SepSetMap, candidates, sizes: range, required) -> None:
+    """Walk the adjacent pairs of ``g``, removing each edge at its walk's
+    first independence and recording the set.
 
-    ``walks`` is a function of no arguments giving a generator of
-    (x, y, sets) that reads the graph as it goes.  A CiTester is first given
-    the walks read before any edge goes, to score ahead.
+    In node order, each adjacent pair (x, y) that ``required`` (a bitmask
+    per node) does not hold is walked through the subsets of candidates[x]
+    minus y of each size in ``sizes``, in lexicographic order; the walk's
+    sets are bound when it is made, from candidates[x] then.  A pair x > y
+    is not walked when candidates[x] minus y lies within candidates[y], or
+    when the empty set is the walk's only set: candidates only shrink within
+    a stage, so the earlier walk of (y, x) asked all these sets and, the
+    edge being still there, found every one of them dependent.  A CiTester
+    is first given the walks made before any edge goes, to score ahead.
     """
+    adj = g.adj
+
+    def walks():
+        for x in range(g.n_nodes):
+            # only the walk of (x, y) removes the edge x--y
+            for y in bits(adj[x] & ~required[x]):
+                own = candidates[x] & ~(1 << y)
+                if y < x and (not own & ~candidates[y] or not (own and sizes[-1])):
+                    continue
+                others = bits(own)
+                if len(others) >= sizes.start:
+                    yield x, y, chain.from_iterable(map(partial(combinations, others), sizes))
+
     if isinstance(test, CiTester):
         test.score_ahead(walks())
     for x, y, subsets in walks():
         s = _first_independent(test, x, y, subsets)
         if s is not None:
-            graph.remove_edge(x, y)
+            g.remove_edge(x, y)
             sepsets.set(x, y, s)
 
 
 # -- skeleton ------------------------------------------------------------------
 
 
-def _knowledge_index_sets(knowledge: BackgroundKnowledge | None, g: MixedGraph):
-    forbidden: set[tuple[int, int]] = set()
-    required: set[tuple[int, int]] = set()
-    if knowledge is not None:
-        for pair in knowledge.forbidden_adjacencies:
-            a, b = sorted(g.index(n) for n in pair)
-            forbidden.add((a, b))
-        for pair in knowledge.required_adjacencies:
-            a, b = sorted(g.index(n) for n in pair)
-            required.add((a, b))
-    return forbidden, required
+def _adjacency_masks(g: MixedGraph, pairs) -> list[int]:
+    """A bitmask per node of the nodes that ``pairs``, sets of two names,
+    pair it with."""
+    masks = [0] * g.n_nodes
+    for a, b in (map(g.index, pair) for pair in pairs):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
 
 
 def skeleton_search(
@@ -541,10 +565,14 @@ def skeleton_search(
 ) -> tuple[MixedGraph, SepSetMap]:
     """Level-wise edge removal from the complete circle graph.
 
-    For depth k = 0, 1, ... each ordered adjacent pair (x, y) is tested
-    against every size-k subset of adj(x) minus y, in lexicographic order; the
-    first independence removes the edge and records the subset.  adj(x) is
-    read when the pair's walk starts, after the removals before it.
+    For depth k = 0, 1, ... the stage runner walks each adjacent pair (x, y)
+    through every size-k subset of adj(x) minus y, in lexicographic order;
+    the first independence removes the edge and records the subset.  adj(x)
+    is read when the pair's walk starts, after the removals before it.  The
+    walk of (x, y), x > y, is left out when adj(x) minus y lies within
+    adj(y), and at depth 0: the walk of (y, x) at this depth already asked
+    all its sets.  That rests on a test answering (x, y, S) and (y, x, S)
+    alike, as the tester's cache assumes.
     """
     cfg = cfg or FciConfig()
     names = tuple(nodes)
@@ -554,30 +582,21 @@ def skeleton_search(
     g = MixedGraph(names, GraphKind.PAG)
     n, adj = g.n_nodes, g.adj
     seps = SepSetMap()
-    forbidden, required = _knowledge_index_sets(knowledge, g)
+    knowledge = knowledge or BackgroundKnowledge()
+    forbidden = _adjacency_masks(g, knowledge.forbidden_adjacencies)
+    required = _adjacency_masks(g, knowledge.required_adjacencies)
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) in forbidden:
+            if forbidden[i] >> j & 1:
                 seps.set(i, j, frozenset(), from_knowledge=True)
             else:
                 g.add_circle_edge(i, j)
     diag.stage_edge_counts.setdefault("initial", g.n_edges)
-
-    def walks():
-        for x in range(n):
-            # only the walk of (x, y) removes the edge x--y
-            for y in bits(adj[x]):
-                if SepSetMap._key(x, y) in required:
-                    continue
-                others = bits(adj[x] & ~(1 << y))
-                if len(others) >= depth:
-                    yield x, y, combinations(others, depth)
-
     depth = 0
     while cfg.max_cond_size is None or depth <= cfg.max_cond_size:
         if max(mask.bit_count() for mask in adj) - 1 < depth:
             break
-        _walk_stage(test, walks, g, seps)
+        _run_stage(test, g, seps, adj, range(depth, depth + 1), required)
         depth += 1
     diag.stage_edge_counts.setdefault("post_skeleton", g.n_edges)
     return g, seps
@@ -629,9 +648,9 @@ def _orient_colliders_inplace(g: MixedGraph, sepsets: SepSetMap, diag: Diagnosti
 # -- possible-d-sep pruning --------------------------------------------------------
 
 
-def _possible_dsep_set(g: MixedGraph, x: int) -> list[int]:
-    """Nodes reachable from x along paths whose every inner node is a collider
-    there or adjacent to both its path neighbors."""
+def _possible_dsep_set(g: MixedGraph, x: int) -> int:
+    """The bitmask of the nodes reachable from x along paths whose every inner
+    node is a collider there or adjacent to both its path neighbors."""
     adj, marks = g.adj, g.marks
     # a search over path steps (a, b): bit b of seen[a] once a step is queued
     seen = [0] * g.n_nodes
@@ -645,7 +664,7 @@ def _possible_dsep_set(g: MixedGraph, x: int) -> list[int]:
                 seen[b] |= 1 << c
                 found |= 1 << c
                 stack.append((b, c))
-    return bits(found & ~(1 << x))
+    return found & ~(1 << x)
 
 
 def possible_dsep_prune(
@@ -658,35 +677,26 @@ def possible_dsep_prune(
 ) -> tuple[MixedGraph, SepSetMap]:
     """Retest every remaining edge against subsets of Possible-D-SEP sets.
 
-    Performs a provisional collider pass to define the sets, removes edges
-    on newly found independencies (recording the sets), then resets all marks
-    to circles.  Each ordered pair's subsets of its set, of size 0, 1, ... up
-    to the size limit, are one walk, which stops at the first independence.
+    Resets a copy of ``g`` to circles and orients its colliders, a
+    provisional pass counted in ``diagnostics`` like any other, to define
+    each node's set; the sets are then fixed for the stage.  The stage
+    runner walks each adjacent pair (x, y) through the subsets of PDS(x)
+    minus y of size 0, 1, ... up to the size limit, and removes the edge at
+    the walk's first independence, recording the set.  The walk of (x, y),
+    x > y, is left out when PDS(x) minus y lies within PDS(y), or is
+    empty: the walk of (y, x) already asked all its sets, and a test
+    answers (x, y, S) and (y, x, S) alike.  All marks are reset to circles
+    at the end.
     """
     cfg = cfg or FciConfig()
     diag = diagnostics if diagnostics is not None else Diagnostics()
     work = g.copy()
     _reset_marks(work)
-    _orient_colliders_inplace(work, sepsets, Diagnostics())
-    _, required = _knowledge_index_sets(knowledge, work)
-    adj = work.adj
+    _orient_colliders_inplace(work, sepsets, diag)
+    required = _adjacency_masks(work, (knowledge or BackgroundKnowledge()).required_adjacencies)
     pds = [_possible_dsep_set(work, x) for x in range(work.n_nodes)]
-
-    def walks():
-        for x in range(work.n_nodes):
-            for y in bits(adj[x]):
-                if SepSetMap._key(x, y) in required:
-                    continue
-                candidates = [v for v in pds[x] if v != y]
-                limit = len(candidates)
-                if cfg.max_cond_size is not None:
-                    limit = min(limit, cfg.max_cond_size)
-                # one walk through the subsets of size 0, 1, ..., limit
-                yield x, y, chain.from_iterable(
-                    map(partial(combinations, candidates), range(limit + 1))
-                )
-
-    _walk_stage(test, walks, work, sepsets)
+    limit = work.n_nodes if cfg.max_cond_size is None else cfg.max_cond_size
+    _run_stage(test, work, sepsets, pds, range(limit + 1), required)
     _reset_marks(work)
     diag.stage_edge_counts.setdefault("post_possible_dsep", work.n_edges)
     return work, sepsets
@@ -991,10 +1001,10 @@ def fci_run(
         knowledge.check_names(names)
 
     g, seps = skeleton_search(tester, names, cfg, knowledge, diag)
-    g = orient_colliders(g, seps, diag)
     if cfg.enable_possible_dsep:
+        # PDS orients the skeleton's colliders itself, counted in diag
         g, seps = possible_dsep_prune(g, seps, tester, cfg, knowledge, diag)
-        g = orient_colliders(g, seps, diag)
+    g = orient_colliders(g, seps, diag)
     g = apply_orientation_rules(g, knowledge, seps, diag)
     diag.stage_edge_counts["final"] = g.n_edges
     return FciResult(g, seps, diag)

@@ -560,13 +560,32 @@ def to_json(g: MixedGraph) -> str:
 
 
 def from_json_obj(obj: dict) -> MixedGraph:
+    """The graph of a JSON object: ``nodes`` a list of strings, ``edges`` a
+    list of objects with string fields ``a``, ``b``, ``mark_a`` and
+    ``mark_b``, and an optional ``kind`` (pag by default).  A field that is
+    missing or of the wrong type is an InputError naming it."""
+    if not isinstance(obj, dict):
+        raise InputError("malformed graph JSON: not a JSON object")
+    for key, item, kind in (("nodes", str, "a list of strings"), ("edges", dict, "a list of objects")):
+        value = obj.get(key)
+        if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+            raise _field_error("", obj, key, kind)
+    for i, e in enumerate(obj["edges"]):
+        for key in ("a", "b", "mark_a", "mark_b"):
+            if not isinstance(e.get(key), str):
+                raise _field_error(f"edge {i} field ", e, key, "str")
     try:
         g = MixedGraph(obj["nodes"], GraphKind(obj.get("kind", "pag")))
         for e in obj["edges"]:
             g.add_edge(e["a"], e["b"], Mark(e["mark_a"]), Mark(e["mark_b"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     return g
+
+
+def _field_error(where: str, obj: dict, key: str, kind: str) -> InputError:
+    got = repr(obj[key]) if key in obj else "no value"
+    return InputError(f"malformed graph JSON: {where}{key!r} must be {kind}, got {got}")
 
 
 def from_json(text: str) -> MixedGraph:

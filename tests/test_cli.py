@@ -181,6 +181,15 @@ def test_discover_level_past_int64_exits_2_as_out_of_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_discover_schema_arity_past_int64_exits_2_naming_the_line(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n0,1\n1,0\n0,0\n1,1\n")
+    Path(str(data) + ".schema").write_text("b:cat:2\na:cat:99999999999999999999\n")
+    assert run(["discover", "--data", str(data), "--out", str(tmp_path / "x.dot")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error (input): schema line 2: arity 99999999999999999999 is past int64\n"
+
+
 def test_discover_reads_files_saved_with_a_byte_order_mark(tmp_path):
     data = _simulated(tmp_path, n=300)
     marked = tmp_path / "marked.csv"
@@ -374,6 +383,27 @@ def test_oracle_truth_that_is_not_a_dag_exits_2(tmp_path, capsys):
         assert run(argv) == 2
         assert problem in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "truth, problem",
+    [
+        ({"kind": "dag", "nodes": "AB", "edges": []}, "'nodes' must be a list of strings, got 'AB'"),
+        ({"kind": "dag", "edges": []}, "'nodes' must be a list of strings, got no value"),
+        ([{"kind": "dag", "nodes": ["A", "B"], "edges": []}], "not a JSON object"),
+        ({"nodes": ["A", "B"], "edges": {}}, "'edges' must be a list of objects, got {}"),
+        (
+            {"nodes": ["A", "B"], "edges": [{"a": "A", "b": "B", "mark_a": "tail"}]},
+            "edge 0 field 'mark_b' must be str, got no value",
+        ),
+    ],
+)
+def test_oracle_malformed_truth_json_exits_2_naming_the_field(tmp_path, capsys, truth, problem):
+    tpath, out = tmp_path / "truth.json", tmp_path / "out.json"
+    tpath.write_text(json.dumps(truth))
+    assert run(["oracle", "--truth", str(tpath), "--observe", "A,B", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error (input): malformed graph JSON: {problem}\n"
+    assert not out.exists()
 
 
 def test_rerun_reproduces_outputs_byte_for_byte(tmp_path):

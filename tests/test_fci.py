@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from helpers import (
     CURATED_RULE_CASES,
     PDS_REQUIRED_CASE,
+    bird_like_standin,
     build_dag,
     class_pag,
     mag_equivalence_class,
     observed_independence_facts,
     random_dag,
+    random_latent_dag,
     separated_by_paths,
     xray_like_standin,
 )
@@ -325,6 +327,64 @@ def test_a_tester_never_scores_the_same_query_twice(monkeypatch):
     assert twice == []
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 7),
+    first=st.integers(0, 2),
+    sizes=st.integers(1, 3),
+)
+def test_a_stage_asks_every_query_and_repeats_no_answered_walk(seed, n, first, sizes):
+    # random adjacency, candidate masks and required pairs; a test that never
+    # answers "independent" keeps every edge, so each walk's sets are fixed
+    rng = np.random.default_rng(seed)
+    g = MixedGraph([f"v{i}" for i in range(n)], GraphKind.PAG)
+    required = [0] * n
+    for x, y in itertools.combinations(range(n), 2):
+        if rng.random() < 0.7:
+            g.add_circle_edge(x, y)
+        if rng.random() < 0.15:
+            required[x] |= 1 << y
+            required[y] |= 1 << x
+    candidates = [int(rng.integers(0, 1 << n)) & ~(1 << x) for x in range(n)]
+    sizes = range(first, first + sizes)
+    walks, asked = {}, set()
+    first_independent = fci_module._first_independent
+
+    def recording(test, x, y, subsets):
+        assert (x, y) not in walks
+        walks[x, y] = list(subsets)
+        return first_independent(test, x, y, walks[x, y])
+
+    def never_independent(x, y, s):
+        asked.add((frozenset((x, y)), frozenset(s)))
+        return False
+
+    with mock.patch.object(fci_module, "_first_independent", recording):
+        fci_module._run_stage(never_independent, g, SepSetMap(), candidates, sizes, required)
+    stage = {
+        (frozenset((x, y)), frozenset(s))
+        for x in range(n)
+        for y in fci_module.bits(g.adj[x] & ~required[x])
+        for k in sizes
+        for s in itertools.combinations(fci_module.bits(candidates[x] & ~(1 << y)), k)
+    }
+    assert asked == stage
+    for (x, y), sets in walks.items():
+        if x > y:
+            assert not set(sets) <= set(walks.get((y, x), ())), (x, y)
+
+
+@pytest.mark.parametrize("test, counts", [("chi2", (23_963, 2_206)), ("g2", (28_304, 3_281))])
+def test_bird27_replicate_reads_few_answers_twice(test, counts):
+    # the golden bird27 run: while a pair's later walk still ran after its
+    # earlier walk had asked all its sets, the same tests made 18,557 (chi2)
+    # and 24,283 (g2) cache hits
+    rep = bootstrap_replicate(bird_like_standin(), 1, 0)
+    diag = fci_run(rep, cfg=FciConfig(alpha=0.05, max_cond_size=3, test=test), target="label").diagnostics
+    assert (diag.tests_run, diag.cache_hits) == counts
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -630,6 +690,15 @@ def test_curated_rule_suite_fires_and_matches_enumeration():
         assert expected_rules <= fired, (name, fired)
         fired_total |= fired
     assert {"R0", "R1", "R2", "R3", "R4", "R9", "R10"} <= fired_total
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_oracle_pag_is_the_class_pag_of_a_random_latent_dag(seed):
+    # latent confounding on graphs small enough to enumerate every member MAG
+    dag, observed = random_latent_dag(seed, n=7, n_edges=9, n_latent=2)
+    res = fci_run(CiOracle(dag, observed), cfg=FciConfig(test="oracle"))
+    expected = class_pag(mag_equivalence_class(dag, list(observed)))
+    assert res.graph.edge_mark_pairs() == expected.edge_mark_pairs()
 
 
 # -- full runs ---------------------------------------------------------------------------------

@@ -4,6 +4,9 @@ The digests were captured from the code as it stood before the stability
 pipeline was simplified, and every refactor must reproduce them exactly.  A
 change that alters an output on purpose updates the digest here and says so.
 Manifests are left out because they record the temporary paths of a run.
+Seven diagnostics digests (both discover diagnostics, Fisher-z, bird27 and
+the 40 oracle runs) were re-pinned when FCI stopped walking a pair whose
+earlier walk had asked all its sets: only ``cache_hits`` moved.
 """
 
 import hashlib
@@ -26,11 +29,11 @@ GOLDEN = {
     "simulate.csv.schema": "483708515872ae734a42cf9b10c94c72b769a60edfe6f724433bcf0255fb53e6",
     "discover-auto.json": "f5e21fced881346f99adeacaf0235d048a38b9063633489d688a08346b175588",
     "discover-auto.json.diagnostics.json": (
-        "4229af8126e6d0a5eca880995d98becddcb26e0c986910016eb2700b5f369741"
+        "aa060c8ebe18a5718f711bc7891499cb19238dacebe0237df5e550ed3daa3d75"
     ),
     "discover-g2.json": "f5e21fced881346f99adeacaf0235d048a38b9063633489d688a08346b175588",
     "discover-g2.json.diagnostics.json": (
-        "4229af8126e6d0a5eca880995d98becddcb26e0c986910016eb2700b5f369741"
+        "aa060c8ebe18a5718f711bc7891499cb19238dacebe0237df5e550ed3daa3d75"
     ),
     "stability-boot.json": "d87951c224e756ff283ae60d578b9f079370c40781b7041e00361648af78aec5",
     "stability-boot.csv": "929a2df4776d52f2a1f39f375163d5ffa50a829d9f9a68f418a6e8df9f6ef167",
@@ -38,7 +41,7 @@ GOLDEN = {
     "stability-sub.csv": "2de0101566d140e18dad3e5fb499ca8585abf8ceccbd1071a988ed6f86828550",
     "oracle.dot": "4ab6b1bc8166432fcc61b84b5267b0db36773a6253f4e45348d951cae4463097",
     "fisherz.graph": "3aeaaa849628b8b3c73a65056146d7f402562c2e2cdf666c0951c03df1f3e9ad",
-    "fisherz.diagnostics": "2fc48e27abea7d1d1494276aba12bb80785e5f58ff527a91127a33f35bc7945d",
+    "fisherz.diagnostics": "684deee936aa0448c8b9de19cc95b9dcfa4e502983cab7f200ddc9be74945f4e",
 }
 
 
@@ -104,12 +107,12 @@ GOLDEN_BIRD27 = {
     "chi2": {
         "graph": "9bc418701b92bbe1d78194d1778c985cda594a3c0bfd2b65acdcd32e510dbdae",
         "sepsets": "3a7674de7ebb5a2cc8ed910fbba3ddc2a526dcfb815c05f03c51b07b007ce71b",
-        "diagnostics": "819d6945cfc9307d8b0d9630adf6a629d10c0f32b279ba38b26fc75d7b9c0fd8",
+        "diagnostics": "a6013d474ba68c9aa80cb78192b223e46c3c1ed7de1f7abbfcea7567951edeeb",
     },
     "g2": {
         "graph": "50c62773141cb383f4bb539f762a26d4746748eb0cc25c4809d14b96ed009d99",
         "sepsets": "375b5b02b800b4a13ee81534facc915d77c688e30002139711cf73acc2895201",
-        "diagnostics": "a29e7d8f2b1a3957fdea7b2c92b963e8ddf9e98b31888da7f38934387617d291",
+        "diagnostics": "5e0fd0cf6be27285cd1fbd1c4e099667062ea11e8f00f87a12c79ccdfd730b60",
     },
 }
 
@@ -150,12 +153,12 @@ GOLDEN_RANDOM_ORACLE_RUNS = {
     "none": {
         "graph": "6597cd15fd50d5728a7bc5ec90421b29977ea2e6a017a04834159565589e24bb",
         "sepsets": "7c0e6fa189f67a1df2acad075ce8d3e0a08fe2ea5764a1667af60eb55831f77b",
-        "diagnostics": "0d20555d91e5d6e9a99e6d78b0f3a7ef5af8a775972bb777ef2fa31bd55312c5",
+        "diagnostics": "e0f423d3fdb17ccf103449a8552a49e9011b7f3cae2198e81b42e76634271da8",
     },
     "last": {
         "graph": "2fdf7c00530a2a0f5e2be49fe0aec877fe60b20e011b7cff02d7b270c9a52b6e",
         "sepsets": "7c0e6fa189f67a1df2acad075ce8d3e0a08fe2ea5764a1667af60eb55831f77b",
-        "diagnostics": "e4e1abcc0e036c629f60187ad925f7456a98c83194bfbb3050067268a971d49f",
+        "diagnostics": "23b5d6d65a080d69de723a57c4133256fa06e9b5168cc86e620f4c8285578c7a",
     },
 }
 
