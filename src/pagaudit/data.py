@@ -51,6 +51,12 @@ class Column:
             if self.arity is None or self.arity < 1:
                 raise SchemaError(f"column {self.name!r}: categorical needs arity >= 1")
             v = np.asarray(self.values)
+            if v.dtype.kind == "f" and not np.isfinite(v).all():
+                raise InputError(f"column {self.name!r}: non-finite or missing values")
+            if v.dtype.kind not in "biuf" or (v.dtype.kind == "f" and (v % 1).any()):
+                raise SchemaError(
+                    f"column {self.name!r}: categorical values must be whole numbers"
+                )
             if v.size and (v.min() < 0 or v.max() >= self.arity):
                 raise SchemaError(
                     f"column {self.name!r}: values outside [0, {self.arity})"
@@ -248,7 +254,8 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def read_csv(path: str | Path, schema: dict[str, tuple[str, int | None]]) -> Dataset:
-    """Load a header-first CSV under the given schema."""
+    """Load a header-first CSV under the given schema.  The file is read with
+    universal newlines, so CRLF and CR line ends reach the parser as ``\n``."""
     return read_csv_text(read_text(path), schema, source=str(path))
 
 
@@ -494,21 +501,24 @@ def write_csv(d: Dataset, path: str | Path) -> None:
     """Write the dataset with a header row; categorical cells as integers,
     continuous cells in 12 significant digits.
 
-    Cells are formatted a column at a time, in blocks of _CSV_BLOCK rows, and
-    a categorical column's cells share one string per level, which keeps a
-    block's strings small; numbers never need quoting, so only the header
-    goes through csv.
+    Cells are formatted a column at a time, in blocks of _CSV_BLOCK rows.  A
+    categorical column whose largest level is below the row count shares one
+    string per level, which keeps a block's strings small; one with a larger
+    level formats each cell, so memory stays proportional to the data.
+    Numbers never need quoting, so only the header goes through csv.
     """
     try:
         fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    text = [
-        [str(v) for v in range(int(c.values.max(initial=0)) + 1)].__getitem__
-        if c.kind == CATEGORICAL
-        else "{:.12g}".format
-        for c in d.columns
-    ]
+    text = []
+    for c in d.columns:
+        if c.kind == CONTINUOUS:
+            text.append("{:.12g}".format)
+        elif (top := int(c.values.max(initial=0))) < d.n:
+            text.append([str(v) for v in range(top + 1)].__getitem__)
+        else:
+            text.append(str)
     with fh:
         csv.writer(fh, lineterminator="\n").writerow(d.names)
         for start in range(0, d.n, _CSV_BLOCK):

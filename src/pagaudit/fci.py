@@ -21,7 +21,7 @@ go.
 
 Each CI walk, one ordered pair and its candidate sets, stops at the first
 independence.  ``CiTester`` picks how it walks from its decider when it is
-built: chi-square scores a walk's uncached sets in batches of growing size,
+built: chi-square scores a walk's uncached sets in batches of a fixed size,
 while the oracle and Fisher-z answer one query (x, y, z) at a time by column
 index, in a plain loop, z being the bitmask of the conditioning set that the
 query's cache key already holds.  The oracle's answer is Bayes-ball on its
@@ -31,13 +31,13 @@ A chi-square tester scores ahead: at the start of each skeleton depth, and
 once before Possible-D-SEP, it is given every walk that stage may run (an
 ordered pair and its sets, from the adjacency at the start of the depth, or
 from the fixed Possible-D-SEP sets) and scores the sets of all the short
-walks, those too short to fill a batch, in a few kernel calls.  The results
-wait in the tester's one cache, keyed by the unordered query like every
-answer, and count as a test only when a walk first reads them.  The walks
-then run in order as before and stop at their first independence, so the
-graph, the separating sets and every counter are those of a run without the
-step.  As with any cached answer, a walk may read a result scored with the
-pair the other way round.
+walks, those with fewer than about a quarter of a batch uncached, in a few
+kernel calls.  The results wait in the tester's one cache, keyed by the
+unordered query like every answer, and count as a test only when a walk
+first reads them.  The walks then run in order as before and stop at their
+first independence, so the graph, the separating sets and every counter are
+those of a run without the step.  As with any cached answer, a walk may read
+a result scored with the pair the other way round.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .errors import (
     InputError,
     InternalConsistencyError,
     KnowledgeInconsistencyError,
+    require_number,
 )
 from .graph import BackgroundKnowledge, GraphKind, Mark, MixedGraph, bayes_ball_separated, bits
 
@@ -83,8 +84,6 @@ __all__ = [
     "parse_knowledge",
     "select_test",
 ]
-
-RULE_ORDER = ("R1", "R2", "R3", "R4", "R8", "R9", "R10")
 
 # the marks by module global: an enum member's attribute lookup costs several
 # times a global's in the rules' inner loops
@@ -105,6 +104,9 @@ class FciConfig:
     test: str = "auto"
 
     def __post_init__(self) -> None:
+        require_number("alpha", self.alpha)
+        if self.max_cond_size is not None:
+            require_number("max_cond_size", self.max_cond_size, whole=True)
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.max_cond_size is not None and self.max_cond_size < 0:
@@ -168,16 +170,16 @@ class SepSetMap:
 
 
 # Batch sizes count rows x sets, where a count table's rows are its distinct
-# rows that occur: a walk's first batch holds about _BATCH_START, each later
-# one four times the last, up to _BATCH_CAP, which also bounds the cells of
-# one kernel call.  At this cap a kernel call peaks near 2 MB, and the
-# weights tiled for the longest call hold 0.5 MB.  A score-ahead kernel call
-# holds at most _AHEAD_CAP: its sets come from many short walks, and at a
-# quarter of _BATCH_START its temporaries are 4x smaller for 5% more calls
+# rows that occur: each batch of a walk holds about _BATCH_CAP, which also
+# bounds the cells of one kernel call.  At this cap a kernel call peaks near
+# 2 MB, and the weights tiled for the longest call hold 0.5 MB.  A walk with
+# fewer than about _SHORT_WALK uncached sets is scored ahead, together with
+# the stage's other short walks, in kernel calls of at most _AHEAD_CAP: at a
+# quarter of _SHORT_WALK their temporaries are 4x smaller for 5% more calls
 # on 8-column data.
-_BATCH_START = 1 << 14
+_SHORT_WALK = 1 << 14
 _BATCH_CAP = 1 << 16
-_AHEAD_CAP = _BATCH_START // 4
+_AHEAD_CAP = _SHORT_WALK // 4
 
 
 class CiTester:
@@ -190,15 +192,15 @@ class CiTester:
     both orientations.
 
     The decider also picks the walk of ``first_independent``.  Chi-square,
-    which scores many sets in one kernel call, walks in batches of growing
-    size.  The oracle and Fisher-z answer one query at a time, by index, so
-    their walk is a plain loop over the sets: a cache lookup, else one
-    answer, then the counters, up to the first independence.  Each set is
+    which scores many sets in one kernel call, walks in batches.  The oracle
+    and Fisher-z answer one query at a time, by index, so their walk is a
+    plain loop over the sets: a cache lookup, else one answer, then the
+    counters, up to the first independence.  Each set is
     read once, to build its key; the answer is given the pair and the
     bitmask of S, the key shifted down past the pair.
 
     A chi-square tester scores ahead (``score_ahead``): the uncached sets of
-    every walk of a stage that has fewer than ``_first_batch`` of them are
+    every walk of a stage that has fewer than ``_short_walk`` of them are
     scored before the walks run, each unordered query once, and cached as
     unused results, the decider's (independent, uninformative) pair.  An
     unused result counts as a test, and becomes a plain cached decision, the
@@ -214,7 +216,6 @@ class CiTester:
         cfg: FciConfig,
         diagnostics: Diagnostics | None = None,
     ):
-        self.cfg = cfg
         self.diagnostics = diagnostics if diagnostics is not None else Diagnostics()
         # a decision by cache key, or an unused (independent, uninformative)
         # result scored ahead
@@ -230,8 +231,8 @@ class CiTester:
         self._member = [1 << (v + 2 * self._bits) for v in range(len(self.names))]
         self._decide, rows = _decider(source, cfg)
         self._batched = rows is not None
-        self._first_batch = max(1, _BATCH_START // rows) if rows else 1
-        self._max_batch = max(1, _BATCH_CAP // rows) if rows else 1
+        self._short_walk = max(1, _SHORT_WALK // rows) if rows else 1
+        self._batch = max(1, _BATCH_CAP // rows) if rows else 1
 
     def __call__(self, x: int, y: int, s: tuple[int, ...]) -> bool:
         return self.first_independent(x, y, (tuple(s),)) is not None
@@ -240,12 +241,12 @@ class CiTester:
         """Score the sets of the short walks of a stage before the walks run.
 
         ``walks`` yields (x, y, sets) for each walk the stage may run, in
-        order.  A walk with fewer than ``_first_batch`` sets not in the cache
+        order.  A walk with fewer than ``_short_walk`` sets not in the cache
         would score them in a kernel call of its own that they under-fill;
         these sets are scored together, each unordered query once, in as few
         calls as their arities allow, and cached as unused results.  A longer
-        walk fills its own first batch and is left to run.  A tester that
-        goes one set at a time returns at once, without reading ``walks``.
+        walk is left to run in its own batches.  A tester that goes one set
+        at a time returns at once, without reading ``walks``.
         """
         if not self._batched:
             return
@@ -260,7 +261,7 @@ class CiTester:
                     key |= member[v]
                 if key not in cache:
                     first[key] = s
-                    if len(first) == self._first_batch:
+                    if len(first) == self._short_walk:
                         break
             else:
                 # a short walk: on its own, its sets would under-fill a batch
@@ -304,14 +305,13 @@ class CiTester:
         """``first_independent`` for a decider that scores sets in batches.
 
         Sets are looked up in the cache in order; the others are evaluated in
-        batches of growing size, then resolved in order, and results computed
-        past the stop are dropped.  An unused result scored ahead is resolved
-        like a new one.
+        batches of ``_batch`` sets, then resolved in order, and results
+        computed past the stop are dropped.  An unused result scored ahead is
+        resolved like a new one.
         """
         diag, cache, member = self.diagnostics, self._cache, self._member
         pair = (x << self._bits | y) if x < y else (y << self._bits | x)
-        size = self._first_batch
-        subsets = iter(subsets)
+        size, subsets = self._batch, iter(subsets)
         while True:
             # (set, key, cache entry) per set
             block, pending = [], []
@@ -340,7 +340,6 @@ class CiTester:
                     diag.cache_hits += 1
                 if known:
                     return s
-            size = min(4 * size, self._max_batch)
 
     def _evaluate(self, x, y, subsets: list) -> list[tuple[bool, bool]]:
         """The decider's answers for one pair (int x, y) or for a pair per

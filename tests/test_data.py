@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,31 @@ def test_a_column_keeps_its_own_read_only_copy(kind, arity):
     assert c.values.tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "values", [np.array([0, 1]), np.array([True, False]), np.array([0.0, 1.0]), [1, 0]]
+)
+def test_a_categorical_column_takes_integers_bools_and_whole_floats(values):
+    c = Column("a", "cat", values, 2)
+    assert c.values.dtype == np.int64
+    assert c.values.tolist() == np.asarray(values).astype(int).tolist()
+
+
+def test_a_categorical_column_rejects_fractional_values():
+    with pytest.raises(SchemaError, match="column 'a'"):
+        Column("a", "cat", np.array([0.5, 1.7]), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_categorical_column_rejects_missing_values(bad):
+    with pytest.raises(InputError, match="column 'a': non-finite or missing values"):
+        Column("a", "cat", np.array([bad, 1.0]), 2)
+
+
+def test_a_categorical_column_rejects_strings():
+    with pytest.raises(SchemaError, match="column 'a'"):
+        Column("a", "cat", np.array(["1", "0"]), 2)
+
+
 def test_drop_and_with_column():
     d = read_csv_text("a,b,x\n0,2,1.5\n1,0,2.0\n", SCHEMA)
     assert d.drop("b").names == ["a", "x"]
@@ -127,6 +153,20 @@ def test_write_csv_round_trip(tmp_path):
     p2 = tmp_path / "out2.csv"
     write_csv(d, p2)
     assert p.read_bytes() == p2.read_bytes()
+
+
+def test_write_csv_memory_follows_the_rows_not_the_largest_level(tmp_path):
+    d = Dataset([Column("a", "cat", np.array([0, 999_999]), 1_000_000)])
+    p = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        write_csv(d, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert p.read_text() == "a\n0\n999999\n"
+    assert read_csv(p, {"a": ("cat", 1_000_000)}) == d
 
 
 def _assert_distinct_rows_match_numpy(codes, arities):

@@ -94,6 +94,20 @@ def test_config_defaults_and_validation():
             FciConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("alpha", "0.05"), ("alpha", True), ("max_cond_size", 2.5), ("max_cond_size", "2")],
+)
+def test_config_rejects_a_value_of_the_wrong_type_naming_the_field(field, value):
+    with pytest.raises(InputError, match=f"{field} must be .*got {value!r}"):
+        FciConfig(**{field: value})
+
+
+def test_config_takes_numpy_numbers():
+    cfg = FciConfig(alpha=np.float64(0.1), max_cond_size=np.int64(2))
+    assert (cfg.alpha, cfg.max_cond_size) == (0.1, 2)
+
+
 # -- skeleton ---------------------------------------------------------------------
 
 

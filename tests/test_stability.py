@@ -68,6 +68,31 @@ def test_bootstrap_empty_rejected():
         StabilityConfig(target="t", replicates=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("replicates", 2.5),
+        ("replicates", "3"),
+        ("base_seed", 1.5),
+        ("base_seed", True),
+        ("subsample_fraction", "0.5"),
+    ],
+)
+def test_config_rejects_a_value_of_the_wrong_type_naming_the_field(field, value):
+    with pytest.raises(InputError, match=f"{field} must be .*got {value!r}"):
+        StabilityConfig(target="t", **{field: value})
+
+
+def test_config_takes_numpy_numbers():
+    cfg = StabilityConfig(
+        target="t",
+        replicates=np.int64(3),
+        base_seed=np.uint64(7),
+        subsample_fraction=np.float32(0.5),
+    )
+    assert (cfg.replicates, cfg.base_seed, cfg.subsample_fraction) == (3, 7, 0.5)
+
+
 def test_single_replicate_matches_single_run():
     from pagaudit.fci import fci_run
     from pagaudit.graph import classify_edge
