@@ -2,9 +2,13 @@
 
 Datasets are immutable after construction.  CSV ingestion expects a header
 row plus a sidecar schema declaring each column as ``name:cat:<arity>`` or
-``name:cont``; missing values are rejected.  A ``CountTable`` holds
-categorical columns as their distinct rows plus a count per distinct row,
-which is all a chi-square test reads of them.
+``name:cont``; missing values are rejected.  A file and its text read
+alike: CRLF and lone CR end a line, as ``\n`` does.  A body is split by
+numpy unless it needs csv's quoting rules, and one decoder reads the cells
+of either; csv.reader alone names a malformed row.  A ``CountTable`` holds
+categorical columns as their distinct rows, each column coded by the
+levels that occur in it, plus a count per distinct row, which is all a
+chi-square test reads of them.
 """
 
 from __future__ import annotations
@@ -137,7 +141,8 @@ def distinct_rows(codes: np.ndarray, arities) -> tuple[np.ndarray, np.ndarray]:
     in [0, arities[j]).  The key packs a row in mixed radix, first column
     most significant; where the next column could push it past int64, the
     key is first replaced by its rank among the distinct keys so far, which
-    keeps their order.
+    keeps their order.  A column whose arity is too large even for those
+    ranks is packed as the rank of each value among its own values.
     """
     key = np.zeros(codes.shape[1], dtype=np.int64)
     bound = 1  # every key is below it
@@ -146,7 +151,10 @@ def distinct_rows(codes: np.ndarray, arities) -> tuple[np.ndarray, np.ndarray]:
         if bound > (1 << 63) // arity:
             ranked, key = np.unique(key, return_inverse=True)
             bound = len(ranked)
-        key = key * arity + col
+        if bound > (1 << 63) // arity:
+            values, col = np.unique(col, return_inverse=True)
+            arity = len(values)
+        key = key * arity + col.astype(np.int64, copy=False)  # uint64 with int64 is float
         bound *= arity
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return codes[:, first], inverse
@@ -157,16 +165,23 @@ class CountTable:
     row, the index of its distinct row.
 
     ``codes`` (shape (k, m)) holds the m distinct rows, one column per array
-    row, in the smallest unsigned type; ``rows`` (shape (n,)) maps each data
-    row, in data order, to its distinct row; ``counts`` (shape (m,)) is how
-    often each distinct row occurs.  ``take_rows`` only recounts: the result
-    shares ``codes``, and a distinct row it does not draw keeps count zero.
-    A chi-square test reads the rows only through these counts.
+    row, in the smallest unsigned type, each column recoded densely to the
+    levels that occur in it: ``arities[j]`` counts them, ``levels[j]`` holds
+    their values in order, and ``declared[j]`` is the column's declared
+    arity.  So a chi-square test's cells scale with the levels that occur,
+    not with the declared arity; an absent level would only add empty
+    cells, which carry no dof and no terms.  ``rows`` (shape (n,)) maps each
+    data row, in data order, to its distinct row; ``counts`` (shape (m,)) is
+    how often each distinct row occurs.  ``take_rows`` only recounts: the
+    result shares ``codes``, and a distinct row it does not draw keeps count
+    zero.  A chi-square test reads the rows only through these counts.
     """
 
-    def __init__(self, names, arities: np.ndarray, codes: np.ndarray, rows: np.ndarray):
+    def __init__(self, names, levels, declared, codes: np.ndarray, rows: np.ndarray):
         self.names = list(names)
-        self.arities = arities
+        self.levels = levels
+        self.declared = declared
+        self.arities = np.array([len(v) for v in levels], dtype=np.int64)
         self.codes = codes
         self.rows = rows
         self.n = len(rows)
@@ -174,26 +189,30 @@ class CountTable:
 
     @classmethod
     def of(cls, d: Dataset) -> "CountTable":
-        """The count table of an all-categorical dataset."""
+        """The count table of an all-categorical dataset; each column is
+        recoded on the distinct rows, not on the data rows."""
         for c in d.columns:
             if c.kind != CATEGORICAL:
                 raise InputError(f"count tables hold categorical columns, {c.name!r} is not")
-        arities = np.array([c.arity for c in d.columns], dtype=np.int64)
-        codes = np.empty((len(arities), d.n), dtype=np.min_scalar_type(arities.max() - 1))
+        declared = [c.arity for c in d.columns]
+        codes = np.empty((len(declared), d.n), dtype=np.min_scalar_type(max(declared) - 1))
         for i, c in enumerate(d.columns):
             codes[i] = c.values
-        distinct, rows = distinct_rows(codes, arities)
-        return cls(d.names, arities, distinct, rows)
+        distinct, rows = distinct_rows(codes, declared)
+        levels, recoded = zip(*(np.unique(col, return_inverse=True) for col in distinct))
+        dtype = np.min_scalar_type(max(map(len, levels)) - 1)
+        return cls(d.names, levels, declared, np.array(recoded, dtype=dtype), rows)
 
     def take_rows(self, idx: np.ndarray) -> "CountTable":
-        return CountTable(self.names, self.arities, self.codes, self.rows[idx])
+        return CountTable(self.names, self.levels, self.declared, self.codes, self.rows[idx])
 
     @property
     def columns(self) -> tuple[Column, ...]:
-        """The data rows as Columns, in data order; built on each access."""
+        """The data rows as Columns, with their level values and declared
+        arities, in data order; built on each access."""
         return tuple(
-            Column(name, CATEGORICAL, codes[self.rows], int(arity))
-            for name, codes, arity in zip(self.names, self.codes, self.arities)
+            Column(name, CATEGORICAL, levels[codes[self.rows]], arity)
+            for name, levels, arity, codes in zip(self.names, self.levels, self.declared, self.codes)
         )
 
 
@@ -255,12 +274,12 @@ def write_text(path: str | Path, text: str) -> None:
 
 def read_csv(path: str | Path, schema: dict[str, tuple[str, int | None]]) -> Dataset:
     """Load a header-first CSV under the given schema.  The file is read with
-    universal newlines, so CRLF and CR line ends reach the parser as ``\n``."""
+    universal newlines, so it reads as its text does in read_csv_text."""
     return read_csv_text(read_text(path), schema, source=str(path))
 
 
 _CSV_BLOCK = 1 << 11  # rows that read_csv_text decodes and write_csv formats at a time
-_LEVELS_CAP = 1 << 12  # levels read_csv_text looks up; a cell past them is parsed cell by cell
+_LEVELS_CAP = 1 << 12  # levels read_csv_text reads as digits; a cell past them is parsed cell by cell
 
 
 def read_csv_text(
@@ -268,30 +287,37 @@ def read_csv_text(
 ) -> Dataset:
     """Parse header-first CSV text under the given schema, in one pass.
 
-    The header goes through csv.  A plain body, one with no quote, carriage
-    return or NUL and no line longer than csv's field limit, is split at its
-    commas and newlines by numpy, on its UTF-8 bytes (_plain_blocks); any
-    other body goes through csv.reader (_csv_blocks), the only path that
-    applies quoting rules.  Either reads blocks of _CSV_BLOCK lines and
-    decodes them a column slice at a time, in one step when every
-    categorical cell spells a level as write_csv does (``"0"`` ..
-    ``str(arity - 1)``) and every continuous cell parses with ``float``.  A
-    slice with any other cell, such as a padded or signed level or an empty
-    cell, goes to _parse_cells; only that slice is parsed cell by cell.
+    CRLF and lone CR line ends first become ``\n``, as a file's do when it
+    is read with universal newlines, so a text and its file read alike.  The
+    header goes through csv.  A plain body, one with no quote or NUL and no
+    line longer than csv's field limit, is split at its commas and newlines
+    by numpy, on its UTF-8 bytes (_plain_blocks); any other body goes
+    through csv.reader (_csv_blocks), the only path that applies quoting
+    rules.  Either splits blocks of _CSV_BLOCK lines into the byte offsets
+    and lengths of their cells, and _decode_block decodes both a column
+    slice at a time.  csv.reader alone names a malformed row: a plain block
+    with a row of the wrong width has csv read the body up to that row.
     Blank lines are skipped.  The first fault raises: a row of the wrong
     width or a csv error, in file order; then "no data rows"; then, column
     by column, a missing value, a cell that does not parse, and the Column's
     own checks.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header, body = _read_header(text, schema, source)
     kinds = [schema[name] for name in header]
+    width = len(kinds)
     plain = _plain_lines(text, body)
-    blocks = _plain_blocks(*plain, kinds, source) if plain else _csv_blocks(text, kinds, source)
+    blocks = _plain_blocks(*plain, width) if plain else _csv_blocks(text, width, source)
     parts: list[list[np.ndarray]] = [[] for _ in header]
-    missing = [False] * len(header)  # whether a column has an empty cell
-    errors: list[str | None] = [None] * len(header)  # a column's first cell that does not parse
+    missing = [False] * width  # whether a column has an empty cell
+    errors: list[str | None] = [None] * width  # a column's first cell that does not parse
     n = 0
-    for rows, decoded in blocks:
+    for block in blocks:
+        if block is None:  # a plain row of the wrong width: csv reads up to it and raises
+            for _ in _csv_blocks(text, width, source):
+                pass
+        rows, decoded = _decode_block(*block, kinds)
         n += rows
         for j, (values, empty, error) in enumerate(decoded):
             parts[j].append(values)
@@ -313,10 +339,10 @@ def _plain_lines(text: str, body: int) -> tuple[bytes, int, np.ndarray] | None:
     """The text's UTF-8 bytes, the byte offset of its body, which starts at
     character ``body``, and the byte offset of each body line's end (its
     newline, or the end of the text), if csv would split every body line at
-    its commas alone: no quote, carriage return or NUL, and no line longer
-    than ``csv.field_size_limit()``, counted in bytes, which are never fewer
-    than its characters.  Otherwise None."""
-    if any(text.find(c, body) >= 0 for c in '"\r\0'):
+    its commas alone: no quote or NUL, and no line longer than
+    ``csv.field_size_limit()``, counted in bytes, which are never fewer than
+    its characters.  Otherwise None."""
+    if any(text.find(c, body) >= 0 for c in '"\0'):
         return None
     buf = text.encode("utf-8", "surrogatepass")
     start = len(text[:body].encode("utf-8", "surrogatepass"))
@@ -328,67 +354,99 @@ def _plain_lines(text: str, body: int) -> tuple[bytes, int, np.ndarray] | None:
     return buf, start, ends
 
 
-def _plain_blocks(buf: bytes, body: int, ends: np.ndarray, kinds, source: str):
+def _plain_blocks(buf: bytes, body: int, ends: np.ndarray, width: int):
     """Yield each block of _CSV_BLOCK lines of a plain body, which starts at
-    byte ``body`` of ``buf``, as its number of rows and, per column,
-    (values, whether a cell is empty, the first parse error).
+    byte ``body`` of ``buf``, as ``buf`` and the byte offsets and lengths of
+    its rows' cells, two (columns, rows) tables; at the first block with a
+    row that is not ``width`` fields wide, yield None and stop.
 
     A block's commas are found on its bytes.  Its rows, the lines that are
     not blank, have the header's width exactly when there are width - 1
     commas per row and, cutting the row-ordered commas into groups of that
-    many, no cell ends before it starts; the cells' byte offsets are then
-    two (columns, rows) tables.  Categorical cells are read as digits
-    (_levels); a column slice that is not all canonical levels, and every
-    continuous slice, is decoded to strings.
+    many, no cell ends before it starts.
     """
     raw = np.frombuffer(buf, np.uint8)
-    width = len(kinds)
-    limits = np.array(
-        [[min(arity, _LEVELS_CAP) if kind == CATEGORICAL else 0] for kind, arity in kinds]
-    )
-    for first in range(0, len(ends), _CSV_BLOCK):  # body line 0 is file line 2
+    for first in range(0, len(ends), _CSV_BLOCK):
         stop = ends[first : first + _CSV_BLOCK]
         start = np.empty_like(stop)
         start[0] = ends[first - 1] + 1 if first else body
         start[1:] = stop[:-1] + 1
         commas = np.flatnonzero(raw[start[0] : stop[-1]] == ord(",")) + start[0]
         kept = stop > start  # csv skips a blank line
-        rows = int(np.count_nonzero(kept))
-        if rows < len(stop):
-            start, stop = start[kept], stop[kept]
-        length = None
-        if len(commas) == rows * (width - 1):
-            cuts = commas.reshape(rows, width - 1).T
+        start, stop = start[kept], stop[kept]
+        if len(commas) == len(stop) * (width - 1):
+            cuts = commas.reshape(len(stop), width - 1).T
             lo = np.concatenate((start[None], cuts + 1))
-            hi = np.concatenate((cuts, stop[None]))
-            length = hi - lo
-        if length is None or length.min(initial=0) < 0:
-            _raise_width(commas, ends[first : first + _CSV_BLOCK], kept, width, first, source)
-        levels, canonical = _levels(raw, lo, length, limits)
-        decoded = []
-        for j, (kind, _) in enumerate(kinds):
-            if canonical[j]:
-                decoded.append((levels[j], False, None))
+            length = np.concatenate((cuts, stop[None])) - lo
+            if length.min(initial=0) >= 0:
+                yield buf, lo, length
                 continue
-            cells = [
-                buf[a:b].decode("utf-8", "surrogatepass")
-                for a, b in zip(lo[j].tolist(), hi[j].tolist())
-            ]
-            if kind == CATEGORICAL:
-                decoded.append(_parse_cells(cells, _parse_level, np.int64))
-            else:
-                decoded.append(_decode(cells, float, float, np.float64))
-        yield rows, decoded
+        yield None
+        return
 
 
-def _raise_width(commas, stop, kept, width: int, first: int, source: str):
-    """Raise for the first row of a block, its lines ending at ``stop`` and
-    the first of them line ``first`` of the body, that is not ``width``
-    fields wide."""
-    fields = np.searchsorted(commas, stop) + 1
-    fields[1:] -= fields[:-1] - 1
-    i = int((kept & (fields != width)).argmax())
-    raise InputError(f"{source} line {first + i + 2}: expected {width} fields, got {fields[i]}")
+def _csv_blocks(text: str, width: int, source: str):
+    """Yield each block of _CSV_BLOCK rows that csv reads after the header
+    of a text without carriage returns as _plain_blocks does, from the UTF-8
+    bytes of the rows' cells, each of them followed by a carriage return;
+    so numpy finds where each cell ends, and an empty last cell still has a
+    byte to read.  A row of the wrong width raises, and a csv error raises
+    after the width of every row read before it is checked."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)  # the header, which has parsed once already
+    for line in itertools.count(2, _CSV_BLOCK):  # the block's first row; the header is row 1
+        block, fault = [], None
+        try:
+            block.extend(itertools.islice(reader, _CSV_BLOCK))  # keeps the rows before an error
+        except csv.Error as exc:
+            fault = InputError(f"{source} line {reader.line_num}: {exc}")
+        if not set(map(len, block)) <= {0, width}:  # csv yields [] for a blank line
+            ln, row = next((ln, r) for ln, r in enumerate(block, line) if len(r) not in (0, width))
+            raise InputError(f"{source} line {ln}: expected {width} fields, got {len(row)}")
+        if fault is not None:
+            raise fault
+        cells = [*itertools.chain.from_iterable(block), ""]
+        buf = "\r".join(cells).encode("utf-8", "surrogatepass")
+        ends = np.flatnonzero(np.frombuffer(buf, np.uint8) == ord("\r"))
+        lo = np.append(0, ends + 1)[:-1]
+        yield buf, lo.reshape(-1, width).T, (ends - lo).reshape(-1, width).T
+        if len(block) < _CSV_BLOCK:
+            return
+
+
+def _decode_block(buf: bytes, lo: np.ndarray, length: np.ndarray, kinds):
+    """A block's number of rows and, per column, (values, whether a cell is
+    empty, the first parse error), from the cells of ``buf`` at byte offsets
+    ``lo`` and of ``length`` bytes, two (columns, rows) tables.
+
+    Categorical cells are read as digits (_levels).  A column slice that is
+    not all canonical levels, and every continuous slice, is decoded to
+    strings: a continuous slice is converted in one step with ``float``, and
+    a slice with any other cell, such as a padded or signed level or an
+    empty cell, goes to _parse_cells; only that slice is parsed cell by cell.
+    """
+    raw = np.frombuffer(buf, np.uint8)
+    limits = np.array(
+        [[min(arity, _LEVELS_CAP) if kind == CATEGORICAL else 0] for kind, arity in kinds]
+    )
+    levels, canonical = _levels(raw, lo, length, limits)
+    decoded = []
+    for j, (kind, _) in enumerate(kinds):
+        if canonical[j]:
+            decoded.append((levels[j], False, None))
+            continue
+        cells = [
+            buf[a : a + k].decode("utf-8", "surrogatepass")
+            for a, k in zip(lo[j].tolist(), length[j].tolist())
+        ]
+        if kind == CATEGORICAL:
+            decoded.append(_parse_cells(cells, _parse_level, np.int64))
+            continue
+        try:
+            decoded.append((np.fromiter(map(float, cells), np.float64, len(cells)), False, None))
+        except ValueError:
+            decoded.append(_parse_cells(cells, float, np.float64))
+    return lo.shape[1], decoded
 
 
 def _levels(raw: np.ndarray, lo: np.ndarray, length: np.ndarray, limits: np.ndarray):
@@ -407,47 +465,6 @@ def _levels(raw: np.ndarray, lo: np.ndarray, length: np.ndarray, limits: np.ndar
         levels = np.where(within, levels * 10 + digit, levels)
     canonical &= levels < limits
     return levels, canonical.all(axis=1)
-
-
-def _csv_blocks(text: str, kinds, source: str):
-    """Yield each block of _CSV_BLOCK rows that csv reads after the header
-    as _plain_blocks does; a csv error raises after the width of every row
-    read before it is checked."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)  # the header, which has parsed once already
-    decoders = [
-        (
-            ({str(v): v for v in range(min(arity, _LEVELS_CAP))}.__getitem__, _parse_level, np.int64)
-            if kind == CATEGORICAL
-            else (float, float, np.float64)
-        )
-        for kind, arity in kinds
-    ]
-    width = len(kinds)
-    for line in itertools.count(2, _CSV_BLOCK):  # the block's first row; the header is row 1
-        block, fault = [], None
-        try:
-            block.extend(itertools.islice(reader, _CSV_BLOCK))  # keeps the rows before an error
-        except csv.Error as exc:
-            fault = InputError(f"{source} line {reader.line_num}: {exc}")
-        if not set(map(len, block)) <= {0, width}:  # csv yields [] for a blank line
-            ln, row = next((ln, r) for ln, r in enumerate(block, line) if len(r) not in (0, width))
-            raise InputError(f"{source} line {ln}: expected {width} fields, got {len(row)}")
-        if fault is not None:
-            raise fault
-        flat = list(itertools.chain.from_iterable(block))
-        yield len(flat) // width, [_decode(flat[j::width], *d) for j, d in enumerate(decoders)]
-        if len(block) < _CSV_BLOCK:
-            return
-
-
-def _decode(cells: list[str], decode, parse, dtype) -> tuple[np.ndarray, bool, str | None]:
-    """A column slice decoded in one step with ``decode``, or, if a cell
-    does not decode, cell by cell with _parse_cells."""
-    try:
-        return np.fromiter(map(decode, cells), dtype, len(cells)), False, None
-    except (KeyError, ValueError):
-        return _parse_cells(cells, parse, dtype)
 
 
 def _parse_cells(cells: list[str], parse, dtype) -> tuple[np.ndarray, bool, str | None]:

@@ -817,10 +817,9 @@ def _rule_r4(g: MixedGraph, sepsets: SepSetMap | None, diag: Diagnostics) -> boo
                 )
             entry = sepsets.get(t, c)
             if entry is None or entry.from_knowledge:
-                diag.notes.append(
-                    f"R4 skipped: no tested separating set for "
-                    f"({g.names[t]!r}, {g.names[c]!r})"
-                )
+                note = f"R4 skipped: no tested separating set for ({g.names[t]!r}, {g.names[c]!r})"
+                if note not in diag.notes:  # once, not once per pass or per b
+                    diag.notes.append(note)
                 continue
             if b in entry.nodes:
                 changed |= _orient(g, b, c, TAIL, "R4", diag)

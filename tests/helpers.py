@@ -470,9 +470,11 @@ def xray_like_standin(seed, n=239):
 
 
 def reference_read_csv_text(text, schema, source="<csv>"):
-    """CSV text to a Dataset one row and one cell at a time: blank rows are
-    skipped, every other row must have the header's width, cells are stripped
-    and parsed with int or float, and the first fault raises."""
+    """CSV text to a Dataset one row and one cell at a time: CRLF and lone CR
+    line ends become newlines, blank rows are skipped, every other row must
+    have the header's width, cells are stripped and parsed with int or
+    float, and the first fault raises."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     reader = csv.reader(io.StringIO(text))
     try:
         header = [h.strip() for h in next(reader, [])]

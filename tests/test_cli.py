@@ -1,9 +1,13 @@
 import csv
 import hashlib
+import itertools
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pagaudit import cli
 from pagaudit.errors import KnowledgeInconsistencyError
@@ -188,6 +192,18 @@ def test_discover_schema_arity_past_int64_exits_2_naming_the_line(tmp_path, caps
     assert run(["discover", "--data", str(data), "--out", str(tmp_path / "x.dot")]) == 2
     err = capsys.readouterr().err
     assert err == "error (input): schema line 2: arity 99999999999999999999 is past int64\n"
+
+
+@pytest.mark.parametrize("arity", [2**62, 2**63 - 1])
+def test_discover_takes_a_declared_arity_up_to_int64(tmp_path, arity):
+    # count tables code the levels that occur, so the declared arity sizes
+    # nothing
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,c\n0,1,0\n1,0,1\n5,1,1\n0,0,0\n")
+    Path(str(data) + ".schema").write_text(f"a:cat:{arity}\nb:cat:2\nc:cat:2\n")
+    out = tmp_path / "g.json"
+    assert run(["discover", "--data", str(data), "--format", "json", "--out", str(out)]) == 0
+    assert from_json(out.read_text()).names == ("a", "b", "c")
 
 
 def test_discover_reads_files_saved_with_a_byte_order_mark(tmp_path):
@@ -557,3 +573,100 @@ def test_discover_continuous_data_fisherz(tmp_path):
     g = from_json(out.read_text())
     assert g.adjacent("x", "z") and g.adjacent("z", "y")
     assert not g.adjacent("x", "y")
+
+
+# -- any input files and flags: an exit code, never a traceback ------------------
+
+
+@st.composite
+def cli_inputs(draw):
+    """Files and flags for every command, each of them sometimes invalid: a
+    CSV of 1-30 rows over 2-5 columns, each categorical column with 1-4
+    levels and a declared arity at, above or far above them; a schema; an
+    optional knowledge file; a small truth DAG's JSON; and numeric flags."""
+
+    def rarely(bad, good):  # one draw in five from ``bad``, the others from ``good``
+        return st.sampled_from([good] * 4 + [bad]).flatmap(lambda strategy: strategy)
+
+    n = draw(st.integers(1, 30))
+    names = [f"v{j}" for j in range(draw(st.integers(2, 5)))]
+    kinds = draw(st.sampled_from(["cat"] * 3 + ["cont", "mixed"]))
+    cells, schema = [], []
+    for name in names:
+        if kinds == "cat" or kinds == "mixed" and draw(st.booleans()):
+            k = draw(st.integers(1, 4))
+            arity = draw(st.sampled_from([k, k + 3, 2**62, 2**63 - 1]))
+            levels = draw(st.lists(st.integers(0, arity - 1), min_size=k, max_size=k, unique=True))
+            cells.append(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+            schema.append(f"{name}:cat:{arity}")
+        else:
+            cells.append(draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+            schema.append(f"{name}:cont")
+    bad = st.sampled_from(["oops", "v0:cat:x", "v0:cont:3", "v0:cat:0", "v1:cat:-1"])
+    schema.insert(draw(st.integers(0, len(schema))), draw(rarely(bad, st.just(""))))
+    nodes = ["A", "B", "C", "D"]
+    edges = draw(st.lists(st.sampled_from(list(itertools.combinations(nodes, 2))), unique=True))
+    truth = json.dumps(
+        {
+            "kind": "dag",
+            "nodes": nodes,
+            "edges": [{"a": a, "b": b, "mark_a": "tail", "mark_b": "arrow"} for a, b in edges],
+        }
+    )
+    observe = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=4, unique=True))
+    knowledge = draw(
+        rarely(
+            st.just("forbid v0 ghost"),
+            st.sampled_from([None, "forbid v0 v1", "require v0 v1", "nonancestor v1 *"]),
+        )
+    )
+    return {
+        "csv": "\n".join([",".join(names)] + [",".join(map(str, row)) for row in zip(*cells)]),
+        "schema": "\n".join(schema) + "\n",
+        "knowledge": knowledge,
+        # the oracle's variables are A-D
+        "oracle_knowledge": knowledge and knowledge.replace("v0", "A").replace("v1", "B"),
+        "truth": draw(
+            rarely(st.sampled_from([truth[:-1], '{"nodes": "AB", "edges": []}']), st.just(truth))
+        ),
+        "observe": ",".join(observe + draw(rarely(st.sampled_from([["Z"], ["A"]]), st.just([])))),
+        "target": draw(rarely(st.just("ghost"), st.just(names[-1]))),
+        "alpha": draw(rarely(st.sampled_from([0.0, 1.0, -0.1, 2.0]), st.floats(0.001, 0.5))),
+        "max_cond_size": draw(rarely(st.integers(-2, -1), st.integers(0, 4))),
+        "fraction": draw(rarely(st.sampled_from([0.0, 1.5]), st.none() | st.floats(0.1, 1.0))),
+        "replicates": draw(st.integers(1, 3)),
+    }
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=cli_inputs())
+def test_every_command_exits_0_2_or_3_on_any_input(tmp_path, case):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    data, truth, knowledge = work / "d.csv", work / "truth.json", work / "k.txt"
+    data.write_text(case["csv"])
+    Path(str(data) + ".schema").write_text(case["schema"])
+    truth.write_text(case["truth"])
+    known, oracle_known = [], []
+    if case["knowledge"] is not None:
+        knowledge.write_text(case["knowledge"])
+        (work / "ko.txt").write_text(case["oracle_knowledge"])
+        known, oracle_known = ["--knowledge", str(knowledge)], ["--knowledge", str(work / "ko.txt")]
+    flags = ["--alpha", repr(case["alpha"]), "--max-cond-size", str(case["max_cond_size"])]
+    fraction = [] if case["fraction"] is None else ["--subsample-fraction", repr(case["fraction"])]
+    commands = [
+        ["discover", "--data", str(data), *known, *flags, "--out", str(work / "g.dot")],
+        [
+            "stability", "--data", str(data), *known, "--target", case["target"],
+            "--replicates", str(case["replicates"]), *fraction, *flags, "--out", str(work / "s"),
+        ],
+        [
+            "oracle", "--truth", str(truth), "--observe", case["observe"], *oracle_known,
+            "--max-cond-size", str(case["max_cond_size"]), "--out", str(work / "o.dot"),
+        ],
+    ]
+    for argv in commands:
+        assert run(argv) in (0, 2, 3), argv
+    for manifest in sorted(work.glob("*.manifest.json")):
+        assert run(["rerun", str(manifest)]) in (0, 2, 3), manifest

@@ -64,8 +64,8 @@ def test_read_csv_rejects_missing_and_malformed():
         read_csv_text("a,b,x\n1.0,1,1.0\n", SCHEMA)  # categorical cell as a float
     with pytest.raises(InputError):
         read_csv_text("\n", SCHEMA)  # blank header
-    with pytest.raises(InputError, match="line 2: new-line character"):
-        read_csv_text("a,b,x\n0,1,1.0\r1,1,1.0\n", SCHEMA)  # lone carriage return
+    d = read_csv_text("a,b,x\n0,1,1.0\r1,1,1.0\n", SCHEMA)  # a lone CR ends a line
+    assert d.col("a").values.tolist() == [0, 1]
 
 
 def test_categorical_range_enforced():
@@ -185,6 +185,16 @@ def test_distinct_rows_key_past_int64_matches_numpy():
     _assert_distinct_rows_match_numpy(codes, [2] * 70)
 
 
+def test_distinct_rows_with_arities_near_int64_match_numpy():
+    # a column this wide overflows int64 even times the ranks of two keys, so
+    # its own values are ranked; one past 2**32 is held as uint64, whose
+    # values past 2**53 a float key would merge
+    codes = np.array([[7, 0, 7, 3, 0], [2**62, 5, 2**62, 2**62 + 1, 6], [1, 1, 1, 1, 0]], np.uint64)
+    _assert_distinct_rows_match_numpy(codes, [2**63 - 1, 2**62 + 2, 4])
+    _assert_distinct_rows_match_numpy(codes[1:], [2**62 + 2, 2])
+    _assert_distinct_rows_match_numpy(codes[::-1], [2, 2**62 + 2, 2**63 - 1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -209,13 +219,33 @@ def test_count_table_counts_and_recounts_rows():
     )
     t = CountTable.of(d)
     assert t.names == ["a", "b"] and t.n == 5
-    assert t.codes.tolist() == [[0, 1, 1], [0, 0, 2]]  # rows (0,0), (1,0), (1,2)
+    assert t.codes.tolist() == [[0, 1, 1], [0, 0, 1]]  # rows (0,0), (1,0), (1,2)
     assert t.counts.tolist() == [2, 1, 2]
     assert Dataset(list(t.columns)) == d
     rep = t.take_rows(np.array([0, 0, 3]))
     assert rep.codes is t.codes and rep.n == 3
     assert rep.counts.tolist() == [0, 1, 2]
     assert Dataset(list(rep.columns)) == d.take_rows(np.array([0, 0, 3]))
+
+
+def test_count_table_codes_only_the_levels_that_occur():
+    # gapped levels, and declared arities far past the levels that occur
+    d = Dataset(
+        [
+            Column("a", "cat", np.array([7, 0, 7, 3]), 2**63 - 1),
+            Column("b", "cat", np.array([2**62, 5, 2**62, 2**62]), 2**62 + 1),
+            Column("c", "cat", np.array([1, 1, 1, 1]), 4),
+        ]
+    )
+    t = CountTable.of(d)
+    assert t.arities.tolist() == [3, 2, 1]
+    assert [v.tolist() for v in t.levels] == [[0, 3, 7], [5, 2**62], [1]]
+    assert t.declared == [2**63 - 1, 2**62 + 1, 4]
+    assert t.codes.dtype == np.uint8
+    assert t.codes.tolist() == [[0, 1, 2], [0, 1, 1], [0, 0, 0]]  # rows (0,5,1), (3,2^62,1), (7,2^62,1)
+    assert t.counts.tolist() == [1, 1, 2]
+    assert Dataset(list(t.columns)) == d
+    assert Dataset(list(t.take_rows(np.array([3, 3])).columns)) == d.take_rows(np.array([3, 3]))
 
 
 def test_count_table_needs_categorical_columns():
@@ -357,6 +387,12 @@ def _csv(*rows):
 @example(text=_csv("ñ", "150", "0150"))
 @example(text=_csv("g,ñ", "1_0,1", "2,1x", "3,2"))  # a non-digit after the first digit
 @example(text=_csv("c", "12"))
+# a quoted block whose non-ASCII cells, more bytes than characters, come
+# ahead of canonical ones in their rows
+@example(text=_csv("ñ,a,x", '"\u0661\u0660",1,\u0661.5', "149,0,0.5", "é,1,0.5", "3,1,0.5"))
+@example(text="a,x\r1,0.5\r0,0.5\r")  # CR-only line ends
+# a plain body whose first row of the wrong width follows a clean block
+@example(text=_csv("a,x", *_filler(["a", "x"], _CSV_BLOCK), "1,0.5", "1", "0,0.5,1"))
 def test_read_csv_text_matches_the_row_reference(text):
     _assert_matches_reference(text)
 
@@ -374,6 +410,31 @@ def test_width_error_in_a_later_block_comes_before_a_bad_cell():
     with pytest.raises(InputError, match=f"line {2 * _CSV_BLOCK + 8}: expected 2 fields, got 1"):
         read_csv_text(text, CSV_SCHEMA)
     _assert_matches_reference(text)
+
+
+def test_a_file_and_its_text_read_alike_whatever_the_line_ends(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    texts = [
+        "a,x\n1,0.5\n0,0.5\n",
+        "a,x\r\n1,0.5\r\n0,0.5\r\n",
+        "a,x\r1,0.5\r0,0.5\r",
+        "a,x\n1,0.5\r0,0.5\n",  # a lone CR mid-file
+        'a,x\r\n"1\r\n",0.5\r\n0,0.5\r\n',  # a quoted cell that holds CRLF
+    ]
+    want = read_csv_text("a,x\n1,0.5\n0,0.5\n", CSV_SCHEMA)
+    short = (InputError, "t.csv line 3: expected 2 fields, got 1")
+    for text in texts + [t.replace("0,0.5", "0") for t in texts]:  # then a short last row
+        (tmp_path / "t.csv").write_bytes(text.encode())
+        from_file = _outcome(lambda _, schema, source: read_csv(source, schema), text)
+        assert from_file == _outcome(read_csv_text, text)
+        assert from_file == (want if "0,0.5" in text else short)
+
+
+def test_crlf_text_is_split_without_csv(monkeypatch):
+    seen = _lines_seen_by_csv(monkeypatch)
+    d = read_csv_text("a,x\r\n" + "1,0.5\r\n" * (_CSV_BLOCK + 3), CSV_SCHEMA)
+    assert d.n == _CSV_BLOCK + 3
+    assert seen == ["a,x\n"]  # csv parses the header only
 
 
 def test_one_column_blank_line_is_skipped_but_spaces_are_a_missing_value():
@@ -419,7 +480,7 @@ def _lines_seen_by_csv(monkeypatch):
         ("1," + "5" * (FIELD_LIMIT - 2) + "\n", True),  # a line at csv's field limit
         ("1," + "5" * (FIELD_LIMIT - 1) + "\n", False),
         ("1,0.5\n" * _CSV_BLOCK + '1,"0.5"\n', False),
-        ("1,0.5\n" * _CSV_BLOCK + "1,0.5\r\n", False),
+        ("1,0.5\n" * _CSV_BLOCK + "1,0.5\r\n", True),
         ("1,0.5\n" * _CSV_BLOCK + "1,0.5\x00\n", False),
     ],
 )
@@ -451,19 +512,21 @@ def test_a_padded_cell_sends_only_its_column_slice_to_the_cell_parser(monkeypatc
 )
 def test_plain_and_csv_bodies_send_the_same_slices_to_the_cell_parser(monkeypatch, column, cell):
     # a level that is out of range, zero-padded or past the lookup cap is not
-    # canonical on either path; CRLF line ends send the same cells through csv
+    # canonical on either path; a quoted first filler cell sends the same
+    # cells through csv
     parse_cells, slices = data._parse_cells, {}
-    lines = [column, *_filler([column], _CSV_BLOCK + 2), cell, *_filler([column], 3)]
-    for eol in ("\n", "\r\n"):
-        calls = slices[eol] = []
+    filler = _filler([column], _CSV_BLOCK + 2)
+    for first in (filler[0], f'"{filler[0]}"'):
+        calls = slices[first] = []
 
         def spy(cells, *args):
             calls.append(cells)
             return parse_cells(cells, *args)
 
         monkeypatch.setattr(data, "_parse_cells", spy)
-        _assert_matches_reference(eol.join(lines) + eol)
-    assert len(slices["\n"]) == (column != "x") and slices["\n"] == slices["\r\n"]
+        _assert_matches_reference(_csv(column, first, *filler[1:], cell, *_filler([column], 3)))
+    plain, quoted = slices.values()
+    assert len(plain) == (column != "x") and plain == quoted
 
 
 def test_levels_past_the_lookup_cap_are_parsed_cell_by_cell():

@@ -715,6 +715,17 @@ def test_oracle_pag_is_the_class_pag_of_a_random_latent_dag(seed):
     assert res.graph.edge_mark_pairs() == expected.edge_mark_pairs()
 
 
+def test_r4_notes_a_skipped_discriminating_path_once():
+    # forbidden adjacencies leave sepset(X4, X3) from knowledge; R4 meets that
+    # pair on several passes and through several b
+    dag, observed = random_latent_dag(5, n=8, n_edges=11, n_latent=2)
+    know = BackgroundKnowledge(
+        forbidden_adjacencies={frozenset(("X4", "X6")), frozenset(("X3", "X4"))}
+    )
+    res = fci_run(CiOracle(dag, observed), knowledge=know, cfg=FciConfig(test="oracle"))
+    assert res.diagnostics.notes == ["R4 skipped: no tested separating set for ('X4', 'X3')"]
+
+
 # -- full runs ---------------------------------------------------------------------------------
 
 
