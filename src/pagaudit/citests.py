@@ -7,10 +7,12 @@ of (dataset, query).
 
 Every chi-square statistic comes from one kernel, ``chi_square_batch``, which
 scores a batch of same-size conditioning sets, of one (x, y) pair or of a
-pair per set, with a single ``np.bincount``; ``chi_square_test`` is that
-kernel on one set, and ``chi_square_independent`` turns a statistic into the
-decision ``chi2_sf(statistic, dof) > alpha`` without the tail function
-wherever the statistic is clear of the critical value.
+pair per set, with a single ``np.bincount`` into cells laid out (x, y,
+stratum): its work on cells runs along the long stratum axis, and it sums
+each set's terms in the order (stratum, x, y), which keeps their bits.
+``chi_square_test`` is that kernel on one set, and ``chi_square_independent``
+turns a statistic into the decision ``chi2_sf(statistic, dof) > alpha``
+without the tail function wherever the statistic clears the critical value.
 """
 
 from __future__ import annotations
@@ -71,13 +73,14 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON, wei
     arities.  ``members[j]`` holds the row codes of the j-th member of every
     set, one row per set (shape (B, n), or (n,) for a batch of one), and
     ``arities`` (shape (B, k)) their arities.  A set's strata are the
-    mixed-radix codes of its members' levels, first member most significant;
-    each set's cells start at their own offset, so one bincount counts the
-    whole batch.  ``weights`` (B * n, set by set), if given, is how many
-    times each row counts: distinct rows weighted by their multiplicities
-    give exactly the statistics of the repeated rows, since every count is a
-    float sum of integers.  Returns the B statistics (float) and dofs (int),
-    as defined in ``chi_square_test``.
+    mixed-radix codes of its members' levels, first member most significant,
+    and the sets' strata follow one another on the last axis of the cells
+    (x, y, stratum), so one bincount counts the whole batch.  ``weights``
+    (B * n, set by set), if given, is how many times each row counts:
+    distinct rows weighted by their multiplicities give exactly the
+    statistics of the repeated rows, since every count is a float sum of
+    integers.  Returns the B statistics (float) and dofs (int), as defined
+    in ``chi_square_test``.
     """
     # ufunc methods throughout: their numpy-function wrappers cost more than
     # the arithmetic on the small arrays of a short walk
@@ -88,54 +91,50 @@ def chi_square_batch(x, rx, y, ry, members, arities, variant: str = PEARSON, wei
     n_strata = mul.reduce(arities, axis=1)
     first_stratum = add.accumulate(n_strata) - n_strata
     total = int(add.reduce(n_strata))
-    # int32 cell codes, where they fit, halve the memory traffic of a batch
-    code = np.int32 if total * rxy < 2**31 else np.int64
-    # cell stride of member j in set b: rx * ry * the arities of the later members
-    place = (rxy * mul.accumulate(arities[:, ::-1], axis=1)[:, ::-1] // arities).astype(code)
-    # the pair's cell within a stratum, x * ry + y, cast once; rows per set
-    # take their stratum offsets in place
-    xy = mul(x, ry, dtype=code)
+    # cell (x * ry + y) * total + the set's first stratum + the stratum code
+    xy = mul(x, ry, dtype=np.intp)
     xy += y
-    offset = (first_stratum * rxy).astype(code)[:, None]
-    cell = offset + xy if xy.ndim == 1 else add(xy, offset, out=xy)
-    for j, codes in enumerate(members):
-        cell += codes * place[:, j, None]
-    counts = np.bincount(cell.ravel(), weights, total * rxy)
-    # weighted counts are float sums of integers, so exact: as integers the
-    # margins take numpy's integer matmul, which beats the float one on a stack
-    counts = counts.astype(np.int64, copy=False).reshape(total, rx, ry)
+    xy *= total
+    cell = add(xy, first_stratum[:, None], out=xy if xy.ndim == 2 else None)
+    if len(members):
+        # Horner's rule, in the narrowest type that holds every stratum and radix
+        narrow = np.min_scalar_type(int(n_strata.max()))
+        radix = arities.astype(narrow)
+        stratum = np.array(members[0], narrow, ndmin=2)
+        for j in range(1, len(members)):
+            stratum *= radix[:, j, None]
+            add(stratum, members[j], out=stratum, casting="unsafe")
+        cell += stratum
+    counts = np.bincount(cell.ravel(), weights, total * rxy).reshape(rx, ry, total)
 
-    # margins by matmul: reductions over axes this short are slower
-    row = counts @ _ones(ry)  # (strata, rx)
-    col = _ones(rx) @ counts  # (strata, ry)
-    tot = add.reduce(col, axis=1)
-    r_eff = add.reduce(row > 0, axis=1)
-    c_eff = add.reduce(col > 0, axis=1)
+    # weighted counts are float sums of integers, so every margin is exact
+    row = add.reduce(counts, axis=1)  # (rx, strata)
+    col = add.reduce(counts, axis=0)  # (ry, strata)
+    tot = add.reduce(col, axis=0)
+    r_eff = add.reduce(row > 0, axis=0)
+    c_eff = add.reduce(col > 0, axis=0)
     informative = (r_eff >= 2) & (c_eff >= 2)
     dof = add.reduceat(np.where(informative, (r_eff - 1) * (c_eff - 1), 0), first_stratum)
 
-    # uninformative strata divide by infinity: no expected counts, no terms;
-    # in place, the statistic needs about three float arrays of the cells
-    expected = mul(row[:, :, None], col[:, None, :], dtype=np.float64)
-    expected /= np.where(informative, tot, np.inf)[:, None, None]
-    mask = expected > 0
-    if variant == PEARSON:
-        terms = np.subtract(counts, expected, out=np.zeros(expected.shape), where=mask)
-        terms *= terms
-        np.divide(terms, expected, out=terms, where=mask)
-    else:
-        ratio = np.divide(counts, expected, out=np.ones(expected.shape), where=mask & (counts > 0))
-        terms = np.log(ratio, out=ratio)
-        terms *= 2.0 * counts
-    return add.reduceat(terms.ravel(), first_stratum * rxy), dof
-
-
-@lru_cache(maxsize=None)
-def _ones(length: int) -> np.ndarray:
-    """A read-only int64 vector of ones, shared by every kernel call."""
-    ones = np.ones(length, np.int64)
-    ones.flags.writeable = False
-    return ones
+    # uninformative strata divide by infinity; their cells, like empty ones, are zeroed below
+    expected = mul(row[:, None, :], col[None, :, :], dtype=np.float64)
+    expected /= np.where(informative, tot, np.inf)
+    empty = expected == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if variant == PEARSON:
+            terms = np.subtract(counts, expected)
+            terms *= terms
+            terms /= expected
+        else:
+            empty |= counts == 0
+            terms = np.divide(counts, expected)
+            np.log(terms, out=terms)
+            terms *= 2.0 * counts
+    terms[empty] = 0.0
+    # summed in the order (stratum, x, y): reduceat's sum is not sequential,
+    # so only that order keeps the bits; its copy takes the freed cells' memory
+    del counts, expected
+    return add.reduceat(terms.reshape(rxy, total).T.ravel(), first_stratum * rxy), dof
 
 
 @lru_cache(maxsize=4096)

@@ -61,7 +61,7 @@ from .citests import (  # noqa: F401
     fisher_z_columns,
     oracle_test,
 )
-from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset
+from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset, distinct_rows
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -431,7 +431,9 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
     A walk's batch is scored by runs of equal-size sets; score-ahead queries
     by groups of equal (arity x, arity y, |S|), each set with its own pair's
     rows.  Either is split into kernel calls of at most _BATCH_CAP cells and
-    _BATCH_CAP rows, or _AHEAD_CAP for score-ahead groups.  A call's weights
+    _BATCH_CAP rows, or _AHEAD_CAP for score-ahead groups; a set with more
+    cells than that on its own is scored alone, on one column of the strata
+    that occur in it, so its cells are bounded by the rows.  A call's weights
     are a slice of the counts tiled for the most sets a call has needed so
     far, so they are tiled only when a call needs more.
     """
@@ -452,7 +454,9 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
         rx, ry = (arities[x], arities[y]) if shared else (arities[x[0]], arities[y[0]])
         sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
         set_arity = arity[sets]
-        cells = np.cumsum(rx * ry * set_arity.prod(axis=1))
+        # cells per set, capped past cap: a larger set is scored on its own,
+        # and a product of many arities could pass int64
+        cells = np.cumsum(np.minimum(rx * ry * set_arity.prod(axis=1, dtype=float), cap + 1))
         max_sets = max(1, cap // rows)
         out = []
         start = 0
@@ -463,11 +467,17 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
             if len(tiled) < (stop - start) * rows:
                 tiled = np.tile(weights, stop - start)
             chunk = sets[start:stop]
+            members = [codes[chunk[:, j]] for j in range(k)]
+            chunk_arity = set_arity[start:stop]
+            if cells[start] > room:
+                # a set too large for one call on its own: its members become
+                # one column of the strata that occur, in the same order
+                strata, stratum = distinct_rows(codes[chunk[0]], chunk_arity[0])
+                members, chunk_arity = [stratum[None]], [[strata.shape[1]]]
             cx, cy = (x, y) if shared else (x[start:stop], y[start:stop])
             stats, dofs = chi_square_batch(
-                codes[cx], rx, codes[cy], ry,
-                [codes[chunk[:, j]] for j in range(k)],
-                set_arity[start:stop], variant, tiled[: (stop - start) * rows],
+                codes[cx], rx, codes[cy], ry, members,
+                chunk_arity, variant, tiled[: (stop - start) * rows],
             )
             out += [
                 (chi_square_independent(stat, dof, alpha), dof == 0)

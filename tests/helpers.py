@@ -421,6 +421,45 @@ def scipy_stratified_chi2(columns, arities, x, y, s, variant="pearson"):
     return statistic, dof
 
 
+def reference_chi_square_batch(x, rx, y, ry, members, arities, variant="pearson", weights=None):
+    """``chi_square_batch`` one set at a time, with the kernel's arithmetic.
+
+    Each set's (stratum, x, y) table is filled by ``np.add.at``.  In each
+    stratum with two nonzero rows and columns, expected counts are
+    (row * col) / tot and the terms (n - e)**2 / e or log(n / e) * 2n, zero
+    where e or (for G-squared) n is zero.  The set's terms are summed in the
+    table's order by ``np.add.reduceat``, as the kernel sums each set's
+    segment: its sum is not sequential, and ``np.add.reduce`` may differ in
+    the last bits.  ``members[j]`` has shape (B, n).  Returns the statistics
+    and dofs as lists.
+    """
+    stats, dofs = [], []
+    for b, set_arity in enumerate(np.asarray(arities).tolist()):
+        xb, yb = (np.asarray(v) if np.ndim(v) == 1 else np.asarray(v)[b] for v in (x, y))
+        n = len(xb)
+        w = np.ones(n) if weights is None else np.asarray(weights)[b * n:(b + 1) * n]
+        stratum = np.ravel_multi_index([m[b] for m in members], set_arity) if set_arity else 0
+        table = np.zeros((math.prod(set_arity), rx, ry))
+        np.add.at(table, (stratum, xb, yb), w)
+        terms, dof = np.zeros(table.shape), 0
+        for s, t in enumerate(table):
+            row, col = t.sum(axis=1), t.sum(axis=0)
+            r_eff, c_eff = int((row > 0).sum()), int((col > 0).sum())
+            if r_eff < 2 or c_eff < 2:
+                continue
+            dof += (r_eff - 1) * (c_eff - 1)
+            e = np.outer(row, col) / t.sum()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if variant == "pearson":
+                    term, keep = (t - e) * (t - e) / e, e > 0
+                else:
+                    term, keep = np.log(t / e) * (2.0 * t), (e > 0) & (t > 0)
+            terms[s] = np.where(keep, term, 0.0)
+        stats.append(float(np.add.reduceat(terms.ravel(), [0])[0]))
+        dofs.append(dof)
+    return stats, dofs
+
+
 # -- protocol-scale stand-in ----------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scipy_stratified_chi2
+from helpers import reference_chi_square_batch, scipy_stratified_chi2
 from pagaudit.citests import (
     GSQUARED,
     PEARSON,
@@ -499,6 +499,41 @@ def test_batch_kernel_over_mixed_pairs_equals_the_per_pair_calls(
     stacked, stacked_dofs = kernel(xs[[0] * n_sets], ys[[0] * n_sets], sets)
     assert shared.tolist() == stacked.tolist()
     assert shared_dofs.tolist() == stacked_dofs.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 300),
+    rx=st.integers(1, 3),
+    ry=st.integers(1, 9),
+    set_arities=st.lists(st.integers(1, 3), min_size=4, max_size=6),
+    k=st.integers(0, 4),
+    n_sets=st.integers(1, 6),
+    per_set=st.booleans(),
+    weighted=st.booleans(),
+    variant=st.sampled_from([PEARSON, GSQUARED]),
+)
+def test_batch_kernel_statistics_equal_a_per_set_reference_bit_for_bit(
+    seed, n, rx, ry, set_arities, k, n_sets, per_set, weighted, variant
+):
+    # the 27-column stand-in's shapes: x of arity up to 3, a 9-class y, and
+    # up to 4 members of arity up to 3; a pair shared by the batch or one per set
+    rng = np.random.default_rng(seed)
+    shape = (n_sets, n) if per_set else (n,)
+    x = rng.integers(0, rx, shape).astype(np.uint8)
+    y = ((x + rng.integers(0, 2, shape)) % ry).astype(np.uint8)
+    zs = np.stack([rng.integers(0, a, n) for a in set_arities]).astype(np.uint8)
+    sets = [rng.choice(len(set_arities), size=k, replace=False) for _ in range(n_sets)]
+    members = [zs[[s[j] for s in sets]] for j in range(k)]
+    arities = [[set_arities[v] for v in s] for s in sets]
+    weights = np.tile(rng.integers(1, 5, n).astype(np.float64), n_sets) if weighted else None
+    stats, dofs = chi_square_batch(x, rx, y, ry, members, arities, variant, weights)
+    ref_stats, ref_dofs = reference_chi_square_batch(
+        x, rx, y, ry, members, arities, variant, weights
+    )
+    assert stats.tolist() == ref_stats
+    assert dofs.tolist() == ref_dofs
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.05, 0.5, 0.99])

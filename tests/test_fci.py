@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -339,6 +340,48 @@ def test_a_tester_never_scores_the_same_query_twice(monkeypatch):
         for i in range(8):
             fci_run(bootstrap_replicate(table, 1, i), cfg=FciConfig(test="chi2"), target="label")
     assert twice == []
+
+
+def test_a_set_too_large_for_one_call_is_scored_on_the_strata_that_occur(monkeypatch):
+    # 10**4 strata of 100 cells each pass a call's cap 15 times over; the
+    # 200 rows occupy at most 200 of those strata, fewer since the columns
+    # share one hidden cause
+    rng = np.random.default_rng(3)
+    hidden = rng.integers(0, 10, 200)
+    d = Dataset([
+        Column(f"v{i}", "cat", (hidden + rng.integers(0, 2, 200)) % 10, 10) for i in range(7)
+    ])
+    kernel, results = fci_module.chi_square_batch, []
+
+    def recorded(*args):
+        results.append(kernel(*args))
+        return results[-1]
+
+    monkeypatch.setattr(fci_module, "chi_square_batch", recorded)
+    tester = CiTester(CountTable.of(d), FciConfig(test="chi2"))
+    tracemalloc.start()
+    try:
+        found = tester.first_independent(0, 1, [(2, 3, 4, 5)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    single = chi_square_test(d, "v0", "v1", ["v2", "v3", "v4", "v5"])
+    [(stats, dofs)] = results
+    assert single.dof > 0
+    assert (found is not None) == single.independent
+    assert dofs.tolist() == [single.dof]
+    assert stats[0] == pytest.approx(single.statistic, rel=1e-12, abs=0.0)
+
+
+def test_a_set_whose_strata_pass_int64_is_scored_on_the_strata_that_occur():
+    # 10 members of 200 levels each: 200**10 possible strata, one per row
+    rng = np.random.default_rng(4)
+    d = Dataset([Column(f"v{i}", "cat", rng.permutation(200), 200) for i in range(12)])
+    members = tuple(range(2, 12))
+    tester = CiTester(CountTable.of(d), FciConfig(test="chi2"))
+    assert tester.first_independent(0, 1, [members]) == members
+    assert tester.diagnostics.dof_zero_warnings == 1
 
 
 @settings(max_examples=150, deadline=None)
