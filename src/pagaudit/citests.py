@@ -10,7 +10,8 @@ scores a batch of same-size conditioning sets, of one (x, y) pair or of a
 pair per set, with a single ``np.bincount`` into cells laid out (x, y,
 stratum): its work on cells runs along the long stratum axis, and it sums
 each set's terms in the order (stratum, x, y), which keeps their bits.
-``chi_square_test`` is that kernel on one set, and ``chi_square_independent``
+``chi_square_test`` is that kernel on one query, scored on the levels and
+strata that occur in its columns, and ``chi_square_independent``
 turns a statistic into the decision ``chi2_sf(statistic, dof) > alpha``
 without the tail function wherever the statistic clears the critical value.
 """
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import CATEGORICAL, CONTINUOUS, Dataset
+from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset, distinct_rows
 from .errors import DegenerateInputError, InputError
 # d_separated is not called here, but stays importable as
 # pagaudit.citests.d_separated, a name the benchmark's tracer wraps
@@ -208,7 +209,10 @@ def chi_square_test(
     where r' and c' count rows/columns with nonzero marginals there, and
     strata with fewer than two nonzero rows or columns contribute nothing.
     Zero total degrees of freedom means the query was uninformative and is
-    reported as independent.
+    reported as independent.  The cells are those of the levels and strata
+    that occur: the distinct rows of (x, y, s), weighted by their counts,
+    with s's members as one column of the strata that occur, so declared
+    arities, however large, size nothing.
     """
     s = tuple(s)
     if x == y:
@@ -222,10 +226,12 @@ def chi_square_test(
     for name in (x, y, *s):
         if d.col(name).kind != CATEGORICAL:
             raise InputError(f"chi-square test needs categorical columns, {name!r} is not")
-    cx, cy, cs = d.col(x), d.col(y), [d.col(name) for name in s]
+    # a member named twice splits no stratum further
+    t = CountTable.of(Dataset([d.col(name) for name in dict.fromkeys((x, y, *s))]))
+    strata, stratum = distinct_rows(t.codes[2:], t.arities[2:])
     stats, dofs = chi_square_batch(
-        cx.values, cx.arity, cy.values, cy.arity,
-        [c.values for c in cs], [[c.arity for c in cs]], variant,
+        t.codes[0], t.arities[0], t.codes[1], t.arities[1],
+        [stratum], [[strata.shape[1]]], variant, t.counts,
     )
     statistic, dof = float(stats[0]), int(dofs[0])
     if dof == 0:

@@ -31,8 +31,8 @@ A chi-square tester scores ahead: at the start of each skeleton depth, and
 once before Possible-D-SEP, it is given every walk that stage may run (an
 ordered pair and its sets, from the adjacency at the start of the depth, or
 from the fixed Possible-D-SEP sets) and scores the sets of all the short
-walks, those with fewer than about a quarter of a batch uncached, in a few
-kernel calls.  The results wait in the tester's one cache, keyed by the
+walks, those whose uncached sets fall short of a batch, in a few kernel
+calls.  The results wait in the tester's one cache, keyed by the
 unordered query like every answer, and count as a test only when a walk
 first reads them.  The walks then run in order as before and stop at their
 first independence, so the graph, the separating sets and every counter are
@@ -169,17 +169,12 @@ class SepSetMap:
         }
 
 
-# Batch sizes count rows x sets, where a count table's rows are its distinct
-# rows that occur: each batch of a walk holds about _BATCH_CAP, which also
-# bounds the cells of one kernel call.  At this cap a kernel call peaks near
-# 2 MB, and the weights tiled for the longest call hold 0.5 MB.  A walk with
-# fewer than about _SHORT_WALK uncached sets is scored ahead, together with
-# the stage's other short walks, in kernel calls of at most _AHEAD_CAP: at a
-# quarter of _SHORT_WALK their temporaries are 4x smaller for 5% more calls
-# on 8-column data.
-_SHORT_WALK = 1 << 14
+# One cap sizes every kernel call, a walk's batch or a score-ahead call: it
+# holds at most _BATCH_CAP rows x sets, where a count table's rows are its
+# distinct rows that occur, and at most _BATCH_CAP cells.  At this cap a
+# kernel call peaks near 2 MB, and the weights tiled for the longest call
+# hold 0.5 MB.
 _BATCH_CAP = 1 << 16
-_AHEAD_CAP = _SHORT_WALK // 4
 
 
 class CiTester:
@@ -200,8 +195,8 @@ class CiTester:
     bitmask of S, the key shifted down past the pair.
 
     A chi-square tester scores ahead (``score_ahead``): the uncached sets of
-    every walk of a stage that has fewer than ``_short_walk`` of them are
-    scored before the walks run, each unordered query once, and cached as
+    every walk of a stage that has fewer than ``_batch`` of them are scored
+    before the walks run, each unordered query once, and cached as
     unused results, the decider's (independent, uninformative) pair.  An
     unused result counts as a test, and becomes a plain cached decision, the
     first time a walk reads it, in either orientation and in this stage or a
@@ -229,10 +224,9 @@ class CiTester:
         self._bits = len(self.names).bit_length()
         # the cache key bit of each node as a member of S, above the pair
         self._member = [1 << (v + 2 * self._bits) for v in range(len(self.names))]
-        self._decide, rows = _decider(source, cfg)
-        self._batched = rows is not None
-        self._short_walk = max(1, _SHORT_WALK // rows) if rows else 1
-        self._batch = max(1, _BATCH_CAP // rows) if rows else 1
+        # the sets of one kernel call, or None for a decider that answers one
+        # query at a time
+        self._decide, self._batch = _decider(source, cfg)
 
     def __call__(self, x: int, y: int, s: tuple[int, ...]) -> bool:
         return self.first_independent(x, y, (tuple(s),)) is not None
@@ -241,14 +235,14 @@ class CiTester:
         """Score the sets of the short walks of a stage before the walks run.
 
         ``walks`` yields (x, y, sets) for each walk the stage may run, in
-        order.  A walk with fewer than ``_short_walk`` sets not in the cache
+        order.  A walk with fewer than ``_batch`` sets not in the cache
         would score them in a kernel call of its own that they under-fill;
         these sets are scored together, each unordered query once, in as few
         calls as their arities allow, and cached as unused results.  A longer
         walk is left to run in its own batches.  A tester that goes one set
         at a time returns at once, without reading ``walks``.
         """
-        if not self._batched:
+        if not self._batch:
             return
         cache, member, width = self._cache, self._member, self._bits
         queries = {}  # cache key -> (x, y, set) of the first walk that asks
@@ -261,7 +255,7 @@ class CiTester:
                     key |= member[v]
                 if key not in cache:
                     first[key] = s
-                    if len(first) == self._short_walk:
+                    if len(first) == self._batch:
                         break
             else:
                 # a short walk: on its own, its sets would under-fill a batch
@@ -278,7 +272,7 @@ class CiTester:
         the sets up to it, as in a one-at-a-time walk, and the cache holds no
         result past it but those scored ahead.
         """
-        if self._batched:
+        if self._batch:
             return self._walk_batches(x, y, subsets)
         diag, cache, answer = self.diagnostics, self._cache, self._decide
         member, shift = self._member, 2 * self._bits
@@ -397,15 +391,16 @@ def select_test(source: Dataset | CountTable, selector: str) -> str:
 
 
 def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
-    """The CI decision for this source and test selector, and its batch rows.
+    """The CI decision for this source and test selector, and its batch size.
 
     Chi-square runs on the source's count table: its decision maps indices
     (x, y, [S, ...]) to one (independent, uninformative) pair per set, scored
-    in few kernel calls, and comes with the number of distinct rows it
-    counts, by which the tester sizes its batches; it also takes sequences
-    x, y with a pair per set, the queries of a score-ahead step.  The oracle
-    and Fisher-z answer one query (x, y, z) of indices, z the bitmask of S,
-    with a bool (rows None): the oracle is Bayes-ball on its own masks.
+    in few kernel calls, and comes with the number of sets that fill one
+    call, by which the tester sizes its batches and picks the walks to score
+    ahead; it also takes sequences x, y with a pair per set, the queries of a
+    score-ahead step.  The oracle and Fisher-z answer one query (x, y, z) of
+    indices, z the bitmask of S, with a bool (batch size None): the oracle is
+    Bayes-ball on its own masks.
     An oracle source always uses the oracle; a dataset's test is chosen by
     ``select_test``.
     """
@@ -426,14 +421,14 @@ def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
 
 def _chi_square_decider(t: CountTable, variant: str, alpha: float):
     """Batch chi-square decisions on the distinct rows of a count table that
-    occur, each weighted by its count, and their number.
+    occur, each weighted by its count, and the number of sets in one call.
 
     A walk's batch is scored by runs of equal-size sets; score-ahead queries
     by groups of equal (arity x, arity y, |S|), each set with its own pair's
     rows.  Either is split into kernel calls of at most _BATCH_CAP cells and
-    _BATCH_CAP rows, or _AHEAD_CAP for score-ahead groups; a set with more
-    cells than that on its own is scored alone, on one column of the strata
-    that occur in it, so its cells are bounded by the rows.  A call's weights
+    _BATCH_CAP rows x sets; a set with more cells than that on its own is
+    scored alone, on one column of the strata that occur in it, so its cells
+    are bounded by the rows.  A call's weights
     are a slice of the counts tiled for the most sets a call has needed so
     far, so they are tiled only when a call needs more.
     """
@@ -445,23 +440,23 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
     arity = t.arities
     arities = arity.tolist()
     rows = len(present)
+    max_sets = max(1, _BATCH_CAP // rows)
     tiled = weights
 
-    def score(x, y, subsets: list, k: int, cap: int) -> list[tuple[bool, bool]]:
+    def score(x, y, subsets: list, k: int) -> list[tuple[bool, bool]]:
         # x, y: the pair's indices, or index arrays with a pair per set
         nonlocal tiled
         shared = isinstance(x, int)
         rx, ry = (arities[x], arities[y]) if shared else (arities[x[0]], arities[y[0]])
         sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
         set_arity = arity[sets]
-        # cells per set, capped past cap: a larger set is scored on its own,
-        # and a product of many arities could pass int64
-        cells = np.cumsum(np.minimum(rx * ry * set_arity.prod(axis=1, dtype=float), cap + 1))
-        max_sets = max(1, cap // rows)
+        # cells per set, capped past the cap: a larger set is scored on its
+        # own, and a product of many arities could pass int64
+        cells = np.cumsum(np.minimum(rx * ry * set_arity.prod(axis=1, dtype=float), _BATCH_CAP + 1))
         out = []
         start = 0
         while start < len(sets):
-            room = cap + (cells[start - 1] if start else 0)
+            room = _BATCH_CAP + (cells[start - 1] if start else 0)
             stop = max(start + 1, int(np.searchsorted(cells, room, side="right")))
             stop = min(stop, start + max_sets)
             if len(tiled) < (stop - start) * rows:
@@ -490,7 +485,7 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
         if isinstance(x, int):
             out = []
             for k, run in groupby(subsets, len):
-                out += score(x, y, list(run), k, _BATCH_CAP)
+                out += score(x, y, list(run), k)
             return out
 
         def group(i):
@@ -500,12 +495,12 @@ def _chi_square_decider(t: CountTable, variant: str, alpha: float):
         for (_, _, k), run in groupby(sorted(range(len(subsets)), key=group), group):
             run = list(run)
             sets = [subsets[i] for i in run]
-            results = score(np.take(x, run), np.take(y, run), sets, k, _AHEAD_CAP)
+            results = score(np.take(x, run), np.take(y, run), sets, k)
             for i, result in zip(run, results):
                 out[i] = result
         return out
 
-    return decide, rows
+    return decide, max_sets
 
 
 def _first_independent(test, x: int, y: int, subsets):
@@ -704,7 +699,8 @@ def possible_dsep_prune(
     _orient_colliders_inplace(work, sepsets, diag)
     required = _adjacency_masks(work, (knowledge or BackgroundKnowledge()).required_adjacencies)
     pds = [_possible_dsep_set(work, x) for x in range(work.n_nodes)]
-    limit = work.n_nodes if cfg.max_cond_size is None else cfg.max_cond_size
+    # no set has more members than there are nodes, whatever the limit
+    limit = work.n_nodes if cfg.max_cond_size is None else min(cfg.max_cond_size, work.n_nodes)
     _run_stage(test, work, sepsets, pds, range(limit + 1), required)
     _reset_marks(work)
     diag.stage_edge_counts.setdefault("post_possible_dsep", work.n_edges)

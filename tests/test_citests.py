@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,42 @@ def test_chi2_input_errors():
     )
     with pytest.raises(InputError):
         chi_square_test(cont, "x", "y", (), 0.05)
+
+
+def ten_level_columns(declared=10):
+    """7 ten-level columns of 200 rows sharing one hidden cause, each
+    declared at ``declared`` levels."""
+    rng = np.random.default_rng(3)
+    hidden = rng.integers(0, 10, 200)
+    return Dataset([
+        Column(f"v{i}", "cat", (hidden + rng.integers(0, 2, 200)) % 10, declared) for i in range(7)
+    ])
+
+
+@pytest.mark.parametrize("variant", [PEARSON, GSQUARED])
+def test_chi2_cells_follow_the_strata_that_occur(variant):
+    # 10**6 cells by declared arity, of which the 200 rows occupy at most
+    # 200 strata; sized by declared arity this peaked at 25.7 MB (Pearson)
+    d = ten_level_columns()
+    tracemalloc.start()
+    try:
+        r = chi_square_test(d, "v0", "v1", ["v2", "v3", "v4", "v5"], 0.05, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert r.dof > 0
+
+
+@pytest.mark.parametrize("variant", [PEARSON, GSQUARED])
+def test_chi2_result_does_not_depend_on_declared_arities(variant):
+    # arities of 2**62 once overflowed the cell index, and 2**40 asked for
+    # 16 TiB of cells
+    small, huge = ten_level_columns(10), ten_level_columns(2**62)
+    for s in ([], ["v2"], ["v2", "v3", "v4"]):
+        assert chi_square_test(huge, "v0", "v1", s, 0.05, variant) == chi_square_test(
+            small, "v0", "v1", s, 0.05, variant
+        )
 
 
 def test_chi2_separates_generated_pair_given_blocker():

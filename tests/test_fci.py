@@ -58,7 +58,7 @@ from pagaudit.graph import (
     to_json,
     validate,
 )
-from pagaudit.simgen import truth_dag
+from pagaudit.simgen import simulate, truth_dag
 from pagaudit.stability import bootstrap_replicate
 
 OBS4 = ("H", "V", "R", "Yhat")
@@ -293,9 +293,10 @@ def test_scoring_ahead_changes_no_output(seed, n, arities, max_cond_size, pds, t
 
 
 def test_xray8_replicates_take_few_kernel_calls(monkeypatch):
-    # the 8-column stand-in's replicates are bound by per-call overhead: on
-    # these 40 replicates the walks alone make 51.7 kernel calls per
-    # replicate, and with score-ahead 7.3
+    # the 8-column stand-in's replicates are bound by per-call overhead: these
+    # 40 replicates make 231 kernel calls, 5.8 per replicate; each replicate
+    # makes at least one, so a count of 0 means the patched name is no longer
+    # the one FCI calls
     calls = 0
     kernel = fci_module.chi_square_batch
 
@@ -311,7 +312,7 @@ def test_xray8_replicates_take_few_kernel_calls(monkeypatch):
         for i in range(8):
             fci_run(bootstrap_replicate(table, 1, i), cfg=FciConfig(test="chi2"), target="label")
             replicates += 1
-    assert calls <= 12 * replicates
+    assert replicates <= calls <= 12 * replicates
 
 
 def test_a_tester_never_scores_the_same_query_twice(monkeypatch):
@@ -433,13 +434,25 @@ def test_a_stage_asks_every_query_and_repeats_no_answered_walk(seed, n, first, s
 
 
 @pytest.mark.parametrize("test, counts", [("chi2", (23_963, 2_206)), ("g2", (28_304, 3_281))])
-def test_bird27_replicate_reads_few_answers_twice(test, counts):
+def test_bird27_replicate_reads_few_answers_twice(monkeypatch, test, counts):
     # the golden bird27 run: while a pair's later walk still ran after its
     # earlier walk had asked all its sets, the same tests made 18,557 (chi2)
-    # and 24,283 (g2) cache hits
+    # and 24,283 (g2) cache hits; while score-ahead calls held at most 2^12
+    # rows x sets against a walk batch's 2^16, they took 718 (chi2) and 796
+    # (g2) kernel calls
+    calls = 0
+    kernel = fci_module.chi_square_batch
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(fci_module, "chi_square_batch", counted)
     rep = bootstrap_replicate(bird_like_standin(), 1, 0)
     diag = fci_run(rep, cfg=FciConfig(alpha=0.05, max_cond_size=3, test=test), target="label").diagnostics
     assert (diag.tests_run, diag.cache_hits) == counts
+    assert calls == {"chi2": 436, "g2": 505}[test]
 
 
 @settings(max_examples=60, deadline=None)
@@ -637,6 +650,29 @@ def test_pdsep_edgeless_unchanged():
     seps.set(0, 1, frozenset())
     pruned, _ = possible_dsep_prune(g, seps, lambda *a: True, FciConfig())
     assert pruned.n_edges == 0
+
+
+@pytest.mark.parametrize("source", [simulate(2000, 1), bird_like_standin()], ids=["sim", "bird27"])
+def test_possible_dsep_walks_no_size_past_the_node_count(monkeypatch, source):
+    # a limit of 10**9 once had every pair's walk make an empty combinations
+    # for each size up to it, so such a run never ended; the check comes
+    # before the stage runs, so such a walk never starts
+    stage, handed = fci_module._run_stage, []
+
+    def recorded(test, g, sepsets, candidates, sizes, required):
+        handed.append(sizes)
+        assert len(sizes) <= g.n_nodes + 1
+        stage(test, g, sepsets, candidates, sizes, required)
+
+    target = source.names[-1]
+    monkeypatch.setattr(fci_module, "_run_stage", recorded)
+    huge = fci_run(source, cfg=FciConfig(max_cond_size=10**9, test="chi2"), target=target)
+    monkeypatch.undo()
+    free = fci_run(source, cfg=FciConfig(test="chi2"), target=target)
+    assert handed[-1] == range(len(source.names) + 1)
+    assert huge.graph.edge_mark_pairs() == free.graph.edge_mark_pairs()
+    assert huge.sepsets.items() == free.sepsets.items()
+    assert asdict(huge.diagnostics) == asdict(free.diagnostics)
 
 
 def test_pdsep_removes_edge_skeleton_cannot():
