@@ -43,9 +43,7 @@ from .graph import (
     classify_edge,
     d_separated,
     descendants,
-    from_dot,
     from_json,
-    m_separated,
     to_dot,
     to_json,
     validate,

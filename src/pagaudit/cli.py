@@ -238,7 +238,9 @@ def cmd_rerun(manifest_path: str) -> None:
     if not isinstance(params, dict):
         raise InputError("malformed manifest: 'parameters' is not a JSON object")
     for key, kind in _MANIFEST_PARAMS[command].items():
-        if not isinstance(params.get(key), kind):
+        value = params.get(key)
+        # a JSON boolean is a Python int, but no integer parameter takes one
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
             got = repr(params[key]) if key in params else "no value"
             raise InputError(
                 f"malformed manifest: {command} parameter {key!r} must be "

@@ -6,6 +6,11 @@ inconsistencies (3), anything else (4).
 
 from numbers import Integral, Real
 
+__all__ = [
+    "PagauditError", "InputError", "SchemaError", "DegenerateInputError", "FitError",
+    "KnowledgeInconsistencyError", "InternalConsistencyError", "require_number",
+]
+
 
 class PagauditError(Exception):
     """Base class for all errors raised by this package."""

@@ -12,7 +12,6 @@ mutation are single-owner.
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,11 +29,13 @@ __all__ = [
     "bits",
     "d_separated",
     "directed_masks",
-    "m_separated",
     "ancestors",
     "descendants",
     "classify_edge",
     "validate",
+    "to_dot",
+    "to_json",
+    "from_json",
 ]
 
 
@@ -317,37 +318,6 @@ def d_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
     return bayes_ball_separated(parents, children, xi, yi, sum(1 << v for v in zi))
 
 
-def m_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
-    """m-separation of ``x`` and ``y`` given ``z`` in a MAG or PAG.
-
-    Colliders are nodes with arrowheads from both path neighbors; they open
-    only when they or a definite descendant lie in ``z``.  Non-colliders block
-    when in ``z``.
-    """
-    xi, yi, zi = _check_query(g, x, y, z)
-    open_colliders = _closure(sum(1 << v for v in zi), directed_masks(g)[0])
-
-    # Depth-first over simple paths: a walk that revisits a node can enter it
-    # through a circle mark and pass it as a non-collider, though every path
-    # through it is blocked, so a search over (node, entry mark) states is
-    # unsound here.
-    def open_path(prev: int, v: int, on_path: set[int]) -> bool:
-        if v == yi:
-            return True
-        entry = g.mark_at(v, prev)
-        for w in g.neighbors(v):
-            if w in on_path:
-                continue
-            collider = entry is Mark.ARROW and g.mark_at(v, w) is Mark.ARROW
-            if not (open_colliders >> v & 1 if collider else v not in zi):
-                continue
-            if open_path(v, w, on_path | {w}):
-                return True
-        return False
-
-    return not any(open_path(xi, w, {xi, w}) for w in g.neighbors(xi))
-
-
 def _names(g: MixedGraph, mask: int, but: int) -> set[str]:
     return {name for v, name in enumerate(g.names) if mask >> v & 1 and v != but}
 
@@ -488,60 +458,28 @@ class BackgroundKnowledge:
 # -- serialization -----------------------------------------------------------------
 
 _DOT_MARK = {Mark.TAIL: "none", Mark.ARROW: "normal", Mark.CIRCLE: "odot"}
-_DOT_MARK_BACK = {v: k for k, v in _DOT_MARK.items()}
 
-_DOT_EDGE_RE = re.compile(
-    r'^\s*"(?P<a>[^"]+)"\s*->\s*"(?P<b>[^"]+)"\s*'
-    r"\[dir=both,\s*arrowtail=(?P<ta>\w+),\s*arrowhead=(?P<hb>\w+)\];$"
-)
-_DOT_NODE_RE = re.compile(r'^\s*"(?P<name>[^"]+)";$')
-_DOT_KIND_RE = re.compile(r'^\s*graph \[kind="(?P<kind>\w+)"\];$')
+
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT ID, ``"`` escaped as ``\\"`` (DOT's one escape
+    there); a trailing ``\\`` would escape the closing quote."""
+    if name.endswith("\\"):
+        raise InputError(f"node name {name!r} ends in a backslash, which DOT cannot quote")
+    return '"' + name.replace('"', '\\"') + '"'
 
 
 def to_dot(g: MixedGraph) -> str:
     """DOT text, one edge per line; marks become arrowtail/arrowhead attributes."""
+    ids = [_dot_id(name) for name in g.names]
     lines = ["digraph mixedgraph {", f'  graph [kind="{g.kind.value}"];']
-    for name in g.names:
-        lines.append(f'  "{name}";')
-    for e in g.edges():
+    lines += [f"  {node};" for node in ids]
+    for (a, b), (ma, mb) in g.edge_mark_pairs().items():
         lines.append(
-            f'  "{e.a}" -> "{e.b}" [dir=both, '
-            f"arrowtail={_DOT_MARK[e.mark_a]}, arrowhead={_DOT_MARK[e.mark_b]}];"
+            f"  {ids[a]} -> {ids[b]} [dir=both, "
+            f"arrowtail={_DOT_MARK[ma]}, arrowhead={_DOT_MARK[mb]}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def from_dot(text: str) -> MixedGraph:
-    """Parse DOT produced by :func:`to_dot`."""
-    kind = GraphKind.PAG
-    names: list[str] = []
-    edges: list[tuple[str, str, Mark, Mark]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("digraph") or line == "}":
-            continue
-        m = _DOT_KIND_RE.match(line)
-        if m:
-            kind = GraphKind(m.group("kind"))
-            continue
-        m = _DOT_EDGE_RE.match(line)
-        if m:
-            try:
-                ta, hb = _DOT_MARK_BACK[m.group("ta")], _DOT_MARK_BACK[m.group("hb")]
-            except KeyError:
-                raise InputError(f"unknown arrow style in DOT line: {line}") from None
-            edges.append((m.group("a"), m.group("b"), ta, hb))
-            continue
-        m = _DOT_NODE_RE.match(line)
-        if m:
-            names.append(m.group("name"))
-            continue
-        raise InputError(f"unparseable DOT line: {line}")
-    g = MixedGraph(names, kind)
-    for a, b, ma, mb in edges:
-        g.add_edge(a, b, ma, mb)
-    return g
 
 
 def to_json_obj(g: MixedGraph) -> dict:

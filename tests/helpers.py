@@ -2,7 +2,8 @@
 
 Everything here proceeds by exhaustive enumeration (simple paths, joint
 distributions, graph orientations) and deliberately avoids the reachability
-and rule machinery in the package.
+and rule machinery in the package.  It also holds a reader for the one
+output no command reads back: DOT graphs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import csv
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -552,3 +554,48 @@ def reference_read_csv_text(text, schema, source="<csv>"):
             raise InputError(f"{source}: column {name!r}: {exc}") from None
         columns.append(Column(name, kind, values, arity))
     return Dataset(columns)
+
+
+# -- DOT reader --------------------------------------------------------------------
+
+_DOT_MARK_BACK = {"none": TAIL, "normal": ARROW, "odot": CIRCLE}
+# a quoted DOT ID: \" is an escaped quote, and any other \ stands for itself
+_DOT_ID = r'"((?:[^"\\]|\\"|\\(?!"))*)"'
+_DOT_EDGE_RE = re.compile(
+    rf"^{_DOT_ID}\s*->\s*{_DOT_ID}\s*"
+    r"\[dir=both,\s*arrowtail=(\w+),\s*arrowhead=(\w+)\];$"
+)
+_DOT_NODE_RE = re.compile(rf"^{_DOT_ID};$")
+_DOT_KIND_RE = re.compile(r'^graph \[kind="(\w+)"\];$')
+
+
+def from_dot(text: str) -> MixedGraph:
+    """Parse DOT as ``pagaudit.graph.to_dot`` writes it."""
+    kind = GraphKind.PAG
+    names: list[str] = []
+    edges: list[tuple[str, str, Mark, Mark]] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("digraph") or line == "}":
+            continue
+        if m := _DOT_KIND_RE.match(line):
+            kind = GraphKind(m.group(1))
+        elif m := _DOT_EDGE_RE.match(line):
+            a, b, ta, hb = m.groups()
+            try:
+                ta, hb = _DOT_MARK_BACK[ta], _DOT_MARK_BACK[hb]
+            except KeyError:
+                raise InputError(f"unknown arrow style in DOT line: {line}") from None
+            edges.append((_dot_unquote(a), _dot_unquote(b), ta, hb))
+        elif m := _DOT_NODE_RE.match(line):
+            names.append(_dot_unquote(m.group(1)))
+        else:
+            raise InputError(f"unparseable DOT line: {line}")
+    g = MixedGraph(names, kind)
+    for a, b, ma, mb in edges:
+        g.add_edge(a, b, ma, mb)
+    return g
+
+
+def _dot_unquote(text: str) -> str:
+    return text.replace('\\"', '"')

@@ -25,6 +25,7 @@ from helpers import (
     build_dag,
     class_pag,
     exactly_independent,
+    from_dot,
     independence_test_power,
     joint_distribution,
     mag_equivalence_class,
@@ -43,7 +44,6 @@ from pagaudit.graph import (
     MixedGraph,
     classify_edge,
     d_separated,
-    from_dot,
     from_json,
     to_dot,
     to_json,

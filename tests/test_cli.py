@@ -5,13 +5,15 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import from_dot
 from pagaudit import cli
 from pagaudit.errors import KnowledgeInconsistencyError
-from pagaudit.graph import Mark, from_dot, from_json
+from pagaudit.graph import Mark, from_json
 
 
 def run(argv):
@@ -137,6 +139,39 @@ def test_discover_missing_files_exit_2(tmp_path):
         )
         == 2
     )
+
+
+def _quoted_names_data(tmp_path, header):
+    # Y copies the first column with a tenth of its values flipped, so the
+    # graph has one edge
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 2, 400)
+    rows = np.stack([a, rng.integers(0, 2, 400), a ^ (rng.random(400) < 0.1)], axis=1)
+    data = tmp_path / "q.csv"
+    data.write_text(",".join(header) + "\n" + "".join(f"{x},{y},{z}\n" for x, y, z in rows))
+    Path(str(data) + ".schema").write_text("".join(f"{name}:cat:2\n" for name in header))
+    return data
+
+
+def test_discover_dot_quotes_names_holding_quotes_and_backslashes(tmp_path):
+    header = ['a"b', "c\\d", "Y"]
+    data = _quoted_names_data(tmp_path, header)
+    dot, js = tmp_path / "g.dot", tmp_path / "g.json"
+    for out, fmt in ((dot, "dot"), (js, "json")):
+        argv = ["discover", "--data", str(data), "--target", "Y", "--format", fmt]
+        assert run([*argv, "--out", str(out)]) == 0
+    g = from_dot(dot.read_text())
+    assert list(g.names) == header
+    assert g.same_structure(from_json(js.read_text())) and g.n_edges == 1
+
+
+def test_discover_dot_rejects_a_name_ending_in_a_backslash(tmp_path, capsys):
+    data = _quoted_names_data(tmp_path, ["a", "c\\", "Y"])
+    out = tmp_path / "g.dot"
+    assert run(["discover", "--data", str(data), "--target", "Y", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (input): ") and repr("c\\") in err
+    assert not out.exists()
 
 
 def test_discover_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
@@ -457,6 +492,15 @@ SIMULATE_PARAMS = {"n": 50, "seed": 1, "include_c": False, "mode": "logistic", "
             {"command": "simulate", "parameters": {**SIMULATE_PARAMS, "out": None}},
             "simulate parameter 'out' must be str, got None",
         ),
+        # a JSON boolean is a Python int, yet no integer parameter takes one
+        (
+            {"command": "simulate", "parameters": {**SIMULATE_PARAMS, "seed": True}},
+            "simulate parameter 'seed' must be int, got True",
+        ),
+        (
+            {"command": "simulate", "parameters": {**SIMULATE_PARAMS, "n": True, "mode": "perfect"}},
+            "simulate parameter 'n' must be int, got True",
+        ),
     ],
 )
 def test_rerun_malformed_manifest_exits_2_naming_the_problem(
@@ -468,6 +512,15 @@ def test_rerun_malformed_manifest_exits_2_naming_the_problem(
     err = capsys.readouterr().err
     assert err.startswith("error (input): malformed manifest: ") and problem in err
     assert not Path("s.csv").exists()
+
+
+def test_rerun_takes_a_bool_where_a_flag_is_expected(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("m.json").write_text(
+        json.dumps({"command": "simulate", "parameters": {**SIMULATE_PARAMS, "include_c": True}})
+    )
+    assert run(["rerun", "m.json"]) == 0
+    assert Path("s.csv").read_text().splitlines()[0] == "H,V,C,R,Yhat"
 
 
 def test_rerun_replays_a_manifest_with_extra_keys_and_absent_nullable_ones(tmp_path, monkeypatch):
@@ -545,8 +598,6 @@ def test_internal_error_maps_to_exit_4(monkeypatch):
 
 
 def test_discover_continuous_data_fisherz(tmp_path):
-    import numpy as np
-
     rng = np.random.default_rng(8)
     x = rng.normal(size=600)
     z = 0.9 * x + rng.normal(size=600)
