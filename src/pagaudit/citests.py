@@ -2,30 +2,35 @@
 
 Three deciders: a stratified chi-square (or G-squared) test for categorical
 columns, a Fisher-z partial-correlation test for continuous columns, and an
-exact oracle that answers from a ground-truth DAG.  Tests are pure functions
-of (dataset, query).
+exact oracle that answers from a ground-truth DAG.  ``decider`` builds the
+one that FCI's tester asks, by index, for a source and a test selector;
+``select_test`` picks a dataset's test from its column kinds.  Each public
+test by name, ``chi_square_test``, ``fisher_z_test`` and ``oracle_test``, is
+that decider on one query, and all are pure functions of (data, query).
 
 Every chi-square statistic comes from one kernel, ``chi_square_batch``, which
 scores a batch of same-size conditioning sets, of one (x, y) pair or of a
 pair per set, with a single ``np.bincount`` into cells laid out (x, y,
 stratum): its work on cells runs along the long stratum axis, and it sums
-each set's terms in the order (stratum, x, y), which keeps their bits.
-``chi_square_test`` is that kernel on one query, scored on the levels and
-strata that occur in its columns, and ``chi_square_independent``
-turns a statistic into the decision ``chi2_sf(statistic, dof) > alpha``
-without the tail function wherever the statistic clears the critical value.
+each set's terms in the order (stratum, x, y), which keeps their bits.  One
+scorer sizes and shapes its calls on a count table, for FCI's walks and
+score-ahead steps and for ``chi_square_test`` alike, so a query's statistic
+is the same to the bit by either road.  ``chi_square_independent`` turns a
+statistic into the decision ``chi2_sf(statistic, dof) > alpha`` without the
+tail function wherever the statistic clears the critical value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import groupby
 
 import numpy as np
 
 from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset, distinct_rows
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InputError, require_alpha
 # d_separated is not called here, but stays importable as
 # pagaudit.citests.d_separated, a name the benchmark's tracer wraps
 from .graph import (  # noqa: F401
@@ -48,6 +53,8 @@ __all__ = [
     "fisher_z_columns",
     "CiOracle",
     "oracle_test",
+    "select_test",
+    "decider",
 ]
 
 PEARSON = "pearson"
@@ -194,6 +201,97 @@ def chi_square_independent(statistic: float, dof: int, alpha: float) -> bool:
     return chi2_sf(statistic, dof) > alpha
 
 
+# One cap sizes every kernel call, a walk's batch or a score-ahead call: it
+# holds at most _BATCH_CAP rows x sets, where a count table's rows are its
+# distinct rows that occur, and at most _BATCH_CAP cells.  At this cap a
+# kernel call peaks near 2 MB, and the weights tiled for the longest call
+# hold 0.5 MB.
+_BATCH_CAP = 1 << 16
+
+
+def _chi_square_scorer(t: CountTable, variant: str):
+    """Batch chi-square scores on the distinct rows of a count table that
+    occur, each weighted by its count, and the number of sets in one call.
+
+    The scores map indices (x, y, [S, ...]) to one (statistic, dof) per set;
+    they also take sequences x, y with a pair per set.  A batch of one pair
+    is scored by runs of equal-size sets, and a pair per set by groups of
+    equal (arity x, arity y, |S|), each set with its own pair's rows.
+    Either is split into kernel calls of at most _BATCH_CAP cells and
+    _BATCH_CAP rows x sets; a set with more cells than that on its own is
+    scored alone, on one column of the strata that occur in it, so its cells
+    are bounded by the rows.  A call's weights
+    are a slice of the counts tiled for the most sets a call has needed so
+    far, so they are tiled only when a call needs more.
+    """
+    if t.n == 0:
+        raise InputError("empty dataset")
+    present = np.flatnonzero(t.counts)
+    codes = t.codes[:, present]
+    weights = t.counts[present].astype(np.float64)
+    arity = t.arities
+    arities = arity.tolist()
+    rows = len(present)
+    max_sets = max(1, _BATCH_CAP // rows)
+    tiled = weights
+
+    def score(x, y, subsets: list, k: int) -> list[tuple[float, int]]:
+        # x, y: the pair's indices, or index arrays with a pair per set
+        nonlocal tiled
+        shared = isinstance(x, int)
+        rx, ry = (arities[x], arities[y]) if shared else (arities[x[0]], arities[y[0]])
+        sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
+        set_arity = arity[sets]
+        # cells per set, capped past the cap: a larger set is scored on its
+        # own, and a product of many arities could pass int64
+        cells = np.cumsum(np.minimum(rx * ry * set_arity.prod(axis=1, dtype=float), _BATCH_CAP + 1))
+        out = []
+        start = 0
+        while start < len(sets):
+            room = _BATCH_CAP + (cells[start - 1] if start else 0)
+            stop = max(start + 1, int(np.searchsorted(cells, room, side="right")))
+            stop = min(stop, start + max_sets)
+            if len(tiled) < (stop - start) * rows:
+                tiled = np.tile(weights, stop - start)
+            chunk = sets[start:stop]
+            members = [codes[chunk[:, j]] for j in range(k)]
+            chunk_arity = set_arity[start:stop]
+            if cells[start] > room:
+                # a set too large for one call on its own: its members become
+                # one column of the strata that occur, in the same order
+                strata, stratum = distinct_rows(codes[chunk[0]], chunk_arity[0])
+                members, chunk_arity = [stratum[None]], [[strata.shape[1]]]
+            cx, cy = (x, y) if shared else (x[start:stop], y[start:stop])
+            stats, dofs = chi_square_batch(
+                codes[cx], rx, codes[cy], ry, members,
+                chunk_arity, variant, tiled[: (stop - start) * rows],
+            )
+            out += zip(stats.tolist(), dofs.tolist())
+            start = stop
+        return out
+
+    def scores(x, y, subsets: list) -> list[tuple[float, int]]:
+        if isinstance(x, int):
+            out = []
+            for k, run in groupby(subsets, len):
+                out += score(x, y, list(run), k)
+            return out
+
+        def group(i):
+            return arities[x[i]], arities[y[i]], len(subsets[i])
+
+        out = [None] * len(subsets)
+        for (_, _, k), run in groupby(sorted(range(len(subsets)), key=group), group):
+            run = list(run)
+            sets = [subsets[i] for i in run]
+            results = score(np.take(x, run), np.take(y, run), sets, k)
+            for i, result in zip(run, results):
+                out[i] = result
+        return out
+
+    return scores, max_sets
+
+
 def chi_square_test(
     d: Dataset,
     x: str,
@@ -209,11 +307,13 @@ def chi_square_test(
     where r' and c' count rows/columns with nonzero marginals there, and
     strata with fewer than two nonzero rows or columns contribute nothing.
     Zero total degrees of freedom means the query was uninformative and is
-    reported as independent.  The cells are those of the levels and strata
-    that occur: the distinct rows of (x, y, s), weighted by their counts,
-    with s's members as one column of the strata that occur, so declared
-    arities, however large, size nothing.
+    reported as independent.  The query is scored as FCI's chi-square
+    decider scores it, on the count table of (x, y, s): the levels that
+    occur, so declared arities size nothing, and the strata of s's members,
+    first member most significant, or the strata that occur when those
+    would pass a kernel call's cap.  ``alpha`` must lie in (0, 1).
     """
+    require_alpha(alpha)
     s = tuple(s)
     if x == y:
         raise InputError("x and y must be distinct")
@@ -228,12 +328,8 @@ def chi_square_test(
             raise InputError(f"chi-square test needs categorical columns, {name!r} is not")
     # a member named twice splits no stratum further
     t = CountTable.of(Dataset([d.col(name) for name in dict.fromkeys((x, y, *s))]))
-    strata, stratum = distinct_rows(t.codes[2:], t.arities[2:])
-    stats, dofs = chi_square_batch(
-        t.codes[0], t.arities[0], t.codes[1], t.arities[1],
-        [stratum], [[strata.shape[1]]], variant, t.counts,
-    )
-    statistic, dof = float(stats[0]), int(dofs[0])
+    score, _ = _chi_square_scorer(t, variant)
+    [(statistic, dof)] = score(0, 1, [tuple(range(2, len(t.names)))])
     if dof == 0:
         return CiTestResult(0.0, 0, 1.0, True, alpha)
     p = chi2_sf(statistic, dof)
@@ -246,7 +342,9 @@ def fisher_z_test(d: Dataset, x: str, y: str, s=(), alpha: float = 0.05) -> CiTe
     The partial correlation comes from inverting the empirical correlation
     submatrix over (x, y, s); the statistic is
     sqrt(n - |s| - 3) * atanh(rho) referred to the standard normal.
+    ``alpha`` must lie in (0, 1).
     """
+    require_alpha(alpha)
     s = tuple(s)
     if x == y:
         raise InputError("x and y must be distinct")
@@ -262,7 +360,7 @@ def fisher_z_columns(columns, alpha: float) -> CiTestResult:
     """``fisher_z_test`` on value arrays of equal length: x, y, then s.
 
     Only the row count is checked; FCI's Fisher-z decider calls this with
-    the columns it indexes, whose kinds were checked once.
+    the columns it indexes, whose kinds and alpha were checked once.
     """
     n, k = len(columns[0]), len(columns) - 2
     if n <= k + 3:
@@ -355,3 +453,66 @@ def oracle_test(o: CiOracle, x: str, y: str, s=()) -> bool:
     for name in s:
         z |= 1 << position[name]
     return bayes_ball_separated(o.parents, o.children, position[x], position[y], z)
+
+
+def select_test(source: Dataset | CountTable, selector: str) -> str:
+    """The dataset test, chi2, g2 or fisherz, that ``selector`` picks for the
+    source's columns, checked before any query runs.
+
+    ``auto`` picks chi-square for all-categorical columns and Fisher-z for
+    all-continuous ones; an explicit test must fit every column.  A count
+    table's columns are categorical.
+    """
+    if selector == "oracle":
+        raise InputError("oracle test selected but source is a dataset")
+    if isinstance(source, CountTable):
+        kinds = dict.fromkeys(source.names, CATEGORICAL)
+    else:
+        kinds = {c.name: c.kind for c in source.columns}
+    if selector == "auto":
+        found = set(kinds.values())
+        if len(found) > 1:
+            raise InputError("mixed column kinds: choose the test explicitly")
+        return "chi2" if found == {CATEGORICAL} else "fisherz"
+    if selector == "fisherz":
+        need, problem = CONTINUOUS, "fisher-z test needs continuous columns"
+    else:
+        need, problem = CATEGORICAL, "chi-square test needs categorical columns"
+    for name, kind in kinds.items():
+        if kind != need:
+            raise InputError(f"{problem}, {name!r} is not")
+    return selector
+
+
+def decider(source: Dataset | CountTable | CiOracle, selector: str, alpha: float):
+    """The CI decision for this source and test selector, and its batch size.
+
+    Chi-square runs on the source's count table: its decision maps indices
+    (x, y, [S, ...]) to one (independent, uninformative) pair per set, the
+    scores of ``_chi_square_scorer`` read at ``alpha``, and comes with the
+    number of sets that fill one kernel call, by which FCI's tester sizes
+    its batches and picks the walks to score ahead; it also takes sequences
+    x, y with a pair per set, the queries of a score-ahead step.  The oracle
+    and Fisher-z answer one query (x, y, z) of indices, z the bitmask of S,
+    with a bool (batch size None): the oracle is Bayes-ball on its own
+    masks.  An oracle source always uses the oracle; a dataset's test is
+    chosen by ``select_test``.
+    """
+    if isinstance(source, CiOracle):
+        return partial(bayes_ball_separated, source.parents, source.children), None
+    test = select_test(source, selector)
+    if test == "fisherz":
+        values = [c.values for c in source.columns]
+
+        def fisher_z(x: int, y: int, z: int) -> bool:
+            columns = [values[x], values[y], *(values[v] for v in bits(z))]
+            return fisher_z_columns(columns, alpha).independent
+
+        return fisher_z, None
+    table = source if isinstance(source, CountTable) else CountTable.of(source)
+    score, max_sets = _chi_square_scorer(table, GSQUARED if test == "g2" else PEARSON)
+
+    def decide(x, y, subsets: list) -> list[tuple[bool, bool]]:
+        return [(chi_square_independent(stat, dof, alpha), dof == 0) for stat, dof in score(x, y, subsets)]
+
+    return decide, max_sets

@@ -8,7 +8,7 @@ from numbers import Integral, Real
 
 __all__ = [
     "PagauditError", "InputError", "SchemaError", "DegenerateInputError", "FitError",
-    "KnowledgeInconsistencyError", "InternalConsistencyError", "require_number",
+    "KnowledgeInconsistencyError", "InternalConsistencyError", "require_number", "require_alpha",
 ]
 
 
@@ -46,3 +46,11 @@ def require_number(name: str, value, whole: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral if whole else Real):
         kind = "a whole number" if whole else "a real number"
         raise InputError(f"{name} must be {kind}, got {value!r}")
+
+
+def require_alpha(alpha) -> None:
+    """Raise ``InputError`` unless ``alpha``, a test's significance level, is
+    a real number strictly between 0 and 1."""
+    require_number("alpha", alpha)
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must be in (0, 1), got {alpha}")

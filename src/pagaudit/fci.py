@@ -20,12 +20,13 @@ by the unordered query, already assumes; only the left-out walk's cache hits
 go.
 
 Each CI walk, one ordered pair and its candidate sets, stops at the first
-independence.  ``CiTester`` picks how it walks from its decider when it is
-built: chi-square scores a walk's uncached sets in batches of a fixed size,
+independence.  ``CiTester`` takes its decision, and the number of sets one
+call scores, from ``citests.decider`` when it is built, and picks its walk
+by them: chi-square scores a walk's uncached sets in batches of that size,
 while the oracle and Fisher-z answer one query (x, y, z) at a time by column
 index, in a plain loop, z being the bitmask of the conditioning set that the
-query's cache key already holds.  The oracle's answer is Bayes-ball on its
-own masks, which number the observed nodes by column.
+query's cache key already holds.  Every statistic, cap and decision is
+``citests``'s; this module only walks, caches and counts.
 
 A chi-square tester scores ahead: at the start of each skeleton depth, and
 once before Possible-D-SEP, it is given every walk that stage may run (an
@@ -44,31 +45,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations, groupby
-
-import numpy as np
+from itertools import chain, combinations
 
 # chi_square_test and oracle_test are not called here, but stay importable
 # as pagaudit.fci.chi_square_test and pagaudit.fci.oracle_test, names the
 # benchmark's tracer wraps
-from .citests import (  # noqa: F401
-    GSQUARED,
-    PEARSON,
-    CiOracle,
-    chi_square_batch,
-    chi_square_independent,
-    chi_square_test,
-    fisher_z_columns,
-    oracle_test,
-)
-from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset, distinct_rows
+from .citests import CiOracle, chi_square_test, decider, oracle_test  # noqa: F401
+from .data import CountTable, Dataset
 from .errors import (
     InputError,
     InternalConsistencyError,
     KnowledgeInconsistencyError,
+    require_alpha,
     require_number,
 )
-from .graph import BackgroundKnowledge, GraphKind, Mark, MixedGraph, bayes_ball_separated, bits
+from .graph import BackgroundKnowledge, GraphKind, Mark, MixedGraph, bits
 
 __all__ = [
     "FciConfig",
@@ -82,7 +73,6 @@ __all__ = [
     "fci_run",
     "FciResult",
     "parse_knowledge",
-    "select_test",
 ]
 
 # the marks by module global: an enum member's attribute lookup costs several
@@ -104,11 +94,9 @@ class FciConfig:
     test: str = "auto"
 
     def __post_init__(self) -> None:
-        require_number("alpha", self.alpha)
+        require_alpha(self.alpha)
         if self.max_cond_size is not None:
             require_number("max_cond_size", self.max_cond_size, whole=True)
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.max_cond_size is not None and self.max_cond_size < 0:
             raise InputError("max_cond_size must be nonnegative or None")
         if self.test not in ("auto", "chi2", "g2", "fisherz", "oracle"):
@@ -169,14 +157,6 @@ class SepSetMap:
         }
 
 
-# One cap sizes every kernel call, a walk's batch or a score-ahead call: it
-# holds at most _BATCH_CAP rows x sets, where a count table's rows are its
-# distinct rows that occur, and at most _BATCH_CAP cells.  At this cap a
-# kernel call peaks near 2 MB, and the weights tiled for the longest call
-# hold 0.5 MB.
-_BATCH_CAP = 1 << 16
-
-
 class CiTester:
     """Caching adapter from (x, y, S) index queries to a CI decision.
 
@@ -226,7 +206,7 @@ class CiTester:
         self._member = [1 << (v + 2 * self._bits) for v in range(len(self.names))]
         # the sets of one kernel call, or None for a decider that answers one
         # query at a time
-        self._decide, self._batch = _decider(source, cfg)
+        self._decide, self._batch = decider(source, cfg.test, cfg.alpha)
 
     def __call__(self, x: int, y: int, s: tuple[int, ...]) -> bool:
         return self.first_independent(x, y, (tuple(s),)) is not None
@@ -359,148 +339,6 @@ class CiTester:
         if wrapped is None:
             raise exc
         raise wrapped from exc
-
-
-def select_test(source: Dataset | CountTable, selector: str) -> str:
-    """The dataset test, chi2, g2 or fisherz, that ``selector`` picks for the
-    source's columns, checked before any query runs.
-
-    ``auto`` picks chi-square for all-categorical columns and Fisher-z for
-    all-continuous ones; an explicit test must fit every column.  A count
-    table's columns are categorical.
-    """
-    if selector == "oracle":
-        raise InputError("oracle test selected but source is a dataset")
-    if isinstance(source, CountTable):
-        kinds = dict.fromkeys(source.names, CATEGORICAL)
-    else:
-        kinds = {c.name: c.kind for c in source.columns}
-    if selector == "auto":
-        found = set(kinds.values())
-        if len(found) > 1:
-            raise InputError("mixed column kinds: choose the test explicitly")
-        return "chi2" if found == {CATEGORICAL} else "fisherz"
-    if selector == "fisherz":
-        need, problem = CONTINUOUS, "fisher-z test needs continuous columns"
-    else:
-        need, problem = CATEGORICAL, "chi-square test needs categorical columns"
-    for name, kind in kinds.items():
-        if kind != need:
-            raise InputError(f"{problem}, {name!r} is not")
-    return selector
-
-
-def _decider(source: Dataset | CountTable | CiOracle, cfg: FciConfig):
-    """The CI decision for this source and test selector, and its batch size.
-
-    Chi-square runs on the source's count table: its decision maps indices
-    (x, y, [S, ...]) to one (independent, uninformative) pair per set, scored
-    in few kernel calls, and comes with the number of sets that fill one
-    call, by which the tester sizes its batches and picks the walks to score
-    ahead; it also takes sequences x, y with a pair per set, the queries of a
-    score-ahead step.  The oracle and Fisher-z answer one query (x, y, z) of
-    indices, z the bitmask of S, with a bool (batch size None): the oracle is
-    Bayes-ball on its own masks.
-    An oracle source always uses the oracle; a dataset's test is chosen by
-    ``select_test``.
-    """
-    if isinstance(source, CiOracle):
-        return partial(bayes_ball_separated, source.parents, source.children), None
-    test = select_test(source, cfg.test)
-    if test == "fisherz":
-        values = [c.values for c in source.columns]
-
-        def fisher_z(x: int, y: int, z: int) -> bool:
-            columns = [values[x], values[y], *(values[v] for v in bits(z))]
-            return fisher_z_columns(columns, cfg.alpha).independent
-
-        return fisher_z, None
-    table = source if isinstance(source, CountTable) else CountTable.of(source)
-    return _chi_square_decider(table, GSQUARED if test == "g2" else PEARSON, cfg.alpha)
-
-
-def _chi_square_decider(t: CountTable, variant: str, alpha: float):
-    """Batch chi-square decisions on the distinct rows of a count table that
-    occur, each weighted by its count, and the number of sets in one call.
-
-    A walk's batch is scored by runs of equal-size sets; score-ahead queries
-    by groups of equal (arity x, arity y, |S|), each set with its own pair's
-    rows.  Either is split into kernel calls of at most _BATCH_CAP cells and
-    _BATCH_CAP rows x sets; a set with more cells than that on its own is
-    scored alone, on one column of the strata that occur in it, so its cells
-    are bounded by the rows.  A call's weights
-    are a slice of the counts tiled for the most sets a call has needed so
-    far, so they are tiled only when a call needs more.
-    """
-    if t.n == 0:
-        raise InputError("empty dataset")
-    present = np.flatnonzero(t.counts)
-    codes = t.codes[:, present]
-    weights = t.counts[present].astype(np.float64)
-    arity = t.arities
-    arities = arity.tolist()
-    rows = len(present)
-    max_sets = max(1, _BATCH_CAP // rows)
-    tiled = weights
-
-    def score(x, y, subsets: list, k: int) -> list[tuple[bool, bool]]:
-        # x, y: the pair's indices, or index arrays with a pair per set
-        nonlocal tiled
-        shared = isinstance(x, int)
-        rx, ry = (arities[x], arities[y]) if shared else (arities[x[0]], arities[y[0]])
-        sets = np.array(subsets, dtype=np.intp).reshape(len(subsets), k)
-        set_arity = arity[sets]
-        # cells per set, capped past the cap: a larger set is scored on its
-        # own, and a product of many arities could pass int64
-        cells = np.cumsum(np.minimum(rx * ry * set_arity.prod(axis=1, dtype=float), _BATCH_CAP + 1))
-        out = []
-        start = 0
-        while start < len(sets):
-            room = _BATCH_CAP + (cells[start - 1] if start else 0)
-            stop = max(start + 1, int(np.searchsorted(cells, room, side="right")))
-            stop = min(stop, start + max_sets)
-            if len(tiled) < (stop - start) * rows:
-                tiled = np.tile(weights, stop - start)
-            chunk = sets[start:stop]
-            members = [codes[chunk[:, j]] for j in range(k)]
-            chunk_arity = set_arity[start:stop]
-            if cells[start] > room:
-                # a set too large for one call on its own: its members become
-                # one column of the strata that occur, in the same order
-                strata, stratum = distinct_rows(codes[chunk[0]], chunk_arity[0])
-                members, chunk_arity = [stratum[None]], [[strata.shape[1]]]
-            cx, cy = (x, y) if shared else (x[start:stop], y[start:stop])
-            stats, dofs = chi_square_batch(
-                codes[cx], rx, codes[cy], ry, members,
-                chunk_arity, variant, tiled[: (stop - start) * rows],
-            )
-            out += [
-                (chi_square_independent(stat, dof, alpha), dof == 0)
-                for stat, dof in zip(stats.tolist(), dofs.tolist())
-            ]
-            start = stop
-        return out
-
-    def decide(x, y, subsets: list) -> list[tuple[bool, bool]]:
-        if isinstance(x, int):
-            out = []
-            for k, run in groupby(subsets, len):
-                out += score(x, y, list(run), k)
-            return out
-
-        def group(i):
-            return arities[x[i]], arities[y[i]], len(subsets[i])
-
-        out = [None] * len(subsets)
-        for (_, _, k), run in groupby(sorted(range(len(subsets)), key=group), group):
-            run = list(run)
-            sets = [subsets[i] for i in run]
-            results = score(np.take(x, run), np.take(y, run), sets, k)
-            for i, result in zip(run, results):
-                out[i] = result
-        return out
-
-    return decide, max_sets
 
 
 def _first_independent(test, x: int, y: int, subsets):

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .citests import select_test
 from .data import CountTable, Dataset, keyed_rng
 from .errors import InputError, PagauditError, require_number
-from .fci import FciConfig, fci_run, select_test
+from .fci import FciConfig, fci_run
 from .graph import BackgroundKnowledge, EdgeClass, classify_edge
 
 __all__ = [

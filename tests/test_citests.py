@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_chi_square_batch, scipy_stratified_chi2
+from pagaudit import citests as citests_module
 from pagaudit.citests import (
     GSQUARED,
     PEARSON,
@@ -20,6 +23,7 @@ from pagaudit.citests import (
 from pagaudit.tails import chi2_sf
 from pagaudit.data import Column, Dataset
 from pagaudit.errors import DegenerateInputError, InputError
+from pagaudit.fci import CiTester, FciConfig
 from pagaudit.graph import Mark
 from pagaudit.simgen import sample_dataset, truth_dag
 
@@ -172,6 +176,80 @@ def test_chi2_result_does_not_depend_on_declared_arities(variant):
         assert chi_square_test(huge, "v0", "v1", s, 0.05, variant) == chi_square_test(
             small, "v0", "v1", s, 0.05, variant
         )
+
+
+def noisy_chain(rng, n, arities, noise=0.4):
+    """Categorical columns c0, c1, ... of the given arities, each a noisy
+    copy of the one before, so that some pairs stay dependent."""
+    columns = [rng.integers(0, arities[0], n)]
+    for a in arities[1:]:
+        columns.append(np.where(rng.random(n) < noise, rng.integers(0, a, n), columns[-1] % a))
+    return Dataset([Column(f"c{i}", "cat", v, a) for i, (v, a) in enumerate(zip(columns, arities))])
+
+
+def test_chi2_statistic_is_fci_statistic_on_a_pinned_query():
+    # scored on one column of the strata that occur, this query once read
+    # 26.89260461760461, a bit off FCI's 26.892604617604615
+    d = noisy_chain(np.random.default_rng(3), 60, [3, 3, 2, 3, 2])
+    r = chi_square_test(d, "c0", "c1", ["c2", "c3"])
+    assert (r.statistic, r.dof) == (26.892604617604615, 11)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(30, 2_000),
+    levels=st.integers(2, 4),
+    k=st.integers(0, 4),
+    extra=st.integers(0, 2),
+    wide=st.booleans(),
+    test=st.sampled_from(["chi2", "g2"]),
+)
+def test_chi2_statistic_equals_the_one_fci_scores(seed, n, levels, k, extra, wide, test):
+    # FCI's tester scores the query first in a batch of every set of its
+    # size; twelve-level columns take a set of 3 or 4 members past a kernel
+    # call's cap, onto the strata that occur
+    rng = np.random.default_rng(seed)
+    if wide:
+        n, k = max(n, 150), max(k, 3)
+        arities = [12] * (k + 2 + extra)
+    else:
+        arities = rng.integers(2, levels + 1, k + 2 + extra).tolist()
+    d = noisy_chain(rng, n, arities)
+    x, y, *rest = rng.permutation(len(d.names)).tolist()
+    s = tuple(rest[:k])
+    sets = [s] + [c for c in itertools.combinations(sorted(rest), k) if c != s]
+    kernel, calls = citests_module.chi_square_batch, []
+
+    def recorded(*args):
+        calls.append((args, kernel(*args)))
+        return calls[-1][1]
+
+    with mock.patch.object(citests_module, "chi_square_batch", recorded):
+        CiTester(d, FciConfig(test=test)).first_independent(x, y, sets)
+    args, (stats, dofs) = calls[0]
+    if wide:
+        # one member column: the strata that occur
+        assert len(args[4]) == 1
+    names = d.names
+    variant = GSQUARED if test == "g2" else PEARSON
+    r = chi_square_test(d, names[x], names[y], [names[v] for v in s], 0.05, variant)
+    assert (r.statistic, r.dof) == (stats[0], dofs[0])
+
+
+@pytest.mark.parametrize("alpha", [5, -1, math.nan, True])
+@pytest.mark.parametrize("kind", ["cat", "cont"])
+def test_public_tests_reject_an_alpha_outside_0_1(kind, alpha):
+    # alpha 5 once read every query dependent, -1 every query independent
+    rng = np.random.default_rng(0)
+    if kind == "cat":
+        test = chi_square_test
+        d = Dataset([Column(name, "cat", rng.integers(0, 2, 100), 2) for name in "ab"])
+    else:
+        test = fisher_z_test
+        d = Dataset([_cont(name, rng.normal(size=100)) for name in "ab"])
+    with pytest.raises(InputError, match="alpha"):
+        test(d, "a", "b", (), alpha)
 
 
 def test_chi2_separates_generated_pair_given_blocker():

@@ -26,3 +26,15 @@ def test_the_package_reexports_only_declared_names():
             continue
         module = importlib.import_module(value.__module__)
         assert name in getattr(module, "__all__", ()), f"{module.__name__}.__all__ lacks {name!r}"
+
+
+def test_the_search_module_holds_no_array_code():
+    # the CI deciders and their kernels live in citests; fci walks, caches
+    # and counts
+    from pagaudit import fci
+
+    assert not any(
+        inspect.ismodule(value) and value.__name__.split(".")[0] == "numpy"
+        for value in vars(fci).values()
+    )
+    assert not {"chi_square_batch", "fisher_z_columns", "bayes_ball_separated"} & set(vars(fci))

@@ -21,6 +21,7 @@ from helpers import (
     separated_by_paths,
     xray_like_standin,
 )
+from pagaudit import citests as citests_module
 from pagaudit import fci as fci_module
 from pagaudit.citests import (
     GSQUARED,
@@ -298,14 +299,14 @@ def test_xray8_replicates_take_few_kernel_calls(monkeypatch):
     # makes at least one, so a count of 0 means the patched name is no longer
     # the one FCI calls
     calls = 0
-    kernel = fci_module.chi_square_batch
+    kernel = citests_module.chi_square_batch
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return kernel(*args)
 
-    monkeypatch.setattr(fci_module, "chi_square_batch", counted)
+    monkeypatch.setattr(citests_module, "chi_square_batch", counted)
     replicates = 0
     for seed in range(5):
         table = CountTable.of(xray_like_standin(seed))
@@ -318,10 +319,10 @@ def test_xray8_replicates_take_few_kernel_calls(monkeypatch):
 def test_a_tester_never_scores_the_same_query_twice(monkeypatch):
     # a result scored ahead waits in the cache until a walk reads it, in
     # either orientation, at a later depth or in Possible-D-SEP
-    decider, twice = fci_module._decider, []
+    decider, twice = fci_module.decider, []
 
-    def counting(source, cfg):
-        decide, rows = decider(source, cfg)
+    def counting(source, selector, alpha):
+        decide, rows = decider(source, selector, alpha)
         scored = set()
 
         def counted(x, y, subsets):
@@ -335,7 +336,7 @@ def test_a_tester_never_scores_the_same_query_twice(monkeypatch):
 
         return counted, rows
 
-    monkeypatch.setattr(fci_module, "_decider", counting)
+    monkeypatch.setattr(fci_module, "decider", counting)
     for seed in range(5):
         table = CountTable.of(xray_like_standin(seed))
         for i in range(8):
@@ -352,13 +353,15 @@ def test_a_set_too_large_for_one_call_is_scored_on_the_strata_that_occur(monkeyp
     d = Dataset([
         Column(f"v{i}", "cat", (hidden + rng.integers(0, 2, 200)) % 10, 10) for i in range(7)
     ])
-    kernel, results = fci_module.chi_square_batch, []
+    # scored before the kernel is recorded, so that only the tester's call is
+    single = chi_square_test(d, "v0", "v1", ["v2", "v3", "v4", "v5"])
+    kernel, results = citests_module.chi_square_batch, []
 
     def recorded(*args):
         results.append(kernel(*args))
         return results[-1]
 
-    monkeypatch.setattr(fci_module, "chi_square_batch", recorded)
+    monkeypatch.setattr(citests_module, "chi_square_batch", recorded)
     tester = CiTester(CountTable.of(d), FciConfig(test="chi2"))
     tracemalloc.start()
     try:
@@ -367,12 +370,11 @@ def test_a_set_too_large_for_one_call_is_scored_on_the_strata_that_occur(monkeyp
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    single = chi_square_test(d, "v0", "v1", ["v2", "v3", "v4", "v5"])
     [(stats, dofs)] = results
     assert single.dof > 0
     assert (found is not None) == single.independent
     assert dofs.tolist() == [single.dof]
-    assert stats[0] == pytest.approx(single.statistic, rel=1e-12, abs=0.0)
+    assert stats[0] == single.statistic
 
 
 def test_a_set_whose_strata_pass_int64_is_scored_on_the_strata_that_occur():
@@ -441,14 +443,14 @@ def test_bird27_replicate_reads_few_answers_twice(monkeypatch, test, counts):
     # rows x sets against a walk batch's 2^16, they took 718 (chi2) and 796
     # (g2) kernel calls
     calls = 0
-    kernel = fci_module.chi_square_batch
+    kernel = citests_module.chi_square_batch
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return kernel(*args)
 
-    monkeypatch.setattr(fci_module, "chi_square_batch", counted)
+    monkeypatch.setattr(citests_module, "chi_square_batch", counted)
     rep = bootstrap_replicate(bird_like_standin(), 1, 0)
     diag = fci_run(rep, cfg=FciConfig(alpha=0.05, max_cond_size=3, test=test), target="label").diagnostics
     assert (diag.tests_run, diag.cache_hits) == counts
@@ -586,8 +588,8 @@ def test_tester_runs_the_selected_test(monkeypatch, kind, selector, expected):
         calls.append(("fisherz",))
         return independent
 
-    monkeypatch.setattr(fci_module, "chi_square_batch", chi2)
-    monkeypatch.setattr(fci_module, "fisher_z_columns", fisherz)
+    monkeypatch.setattr(citests_module, "chi_square_batch", chi2)
+    monkeypatch.setattr(citests_module, "fisher_z_columns", fisherz)
     arity = 2 if kind == "cat" else None
     d = Dataset([Column(name, kind, np.array([0, 1, 0, 1]), arity) for name in "ab"])
     assert CiTester(d, FciConfig(test=selector))(0, 1, ()) is True
