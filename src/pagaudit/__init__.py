@@ -8,7 +8,14 @@ reports bootstrap edge stability.
 
 __version__ = "0.1.0"
 
-from .citests import CiOracle, CiTestResult, chi_square_test, fisher_z_test, oracle_test
+from .citests import (
+    CiOracle,
+    CiTestResult,
+    chi_square_test,
+    d_separated,
+    fisher_z_test,
+    oracle_test,
+)
 from .data import Column, CountTable, Dataset, parse_schema, read_csv, write_csv
 from .errors import (
     DegenerateInputError,
@@ -41,7 +48,6 @@ from .graph import (
     MixedGraph,
     ancestors,
     classify_edge,
-    d_separated,
     descendants,
     from_json,
     to_dot,

@@ -7,6 +7,9 @@ one that FCI's tester asks, by index, for a source and a test selector;
 ``select_test`` picks a dataset's test from its column kinds.  Each public
 test by name, ``chi_square_test``, ``fisher_z_test`` and ``oracle_test``, is
 that decider on one query, and all are pure functions of (data, query).
+``d_separated`` is ``oracle_test`` on an oracle that observes every node of
+a DAG.  Every one of these fronts checks its query with ``_query``, and the
+two dataset tests check their columns' kinds with ``select_test``.
 
 Every chi-square statistic comes from one kernel, ``chi_square_batch``, which
 scores a batch of same-size conditioning sets, of one (x, y) pair or of a
@@ -31,17 +34,7 @@ import numpy as np
 
 from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset, distinct_rows
 from .errors import DegenerateInputError, InputError, require_alpha
-# d_separated is not called here, but stays importable as
-# pagaudit.citests.d_separated, a name the benchmark's tracer wraps
-from .graph import (  # noqa: F401
-    GraphKind,
-    MixedGraph,
-    bayes_ball_separated,
-    bits,
-    d_separated,
-    directed_masks,
-    validate,
-)
+from .graph import GraphKind, MixedGraph, bayes_ball_separated, bits, directed_masks, validate
 from .tails import chi2_sf, normal_sf
 
 __all__ = [
@@ -53,6 +46,7 @@ __all__ = [
     "fisher_z_columns",
     "CiOracle",
     "oracle_test",
+    "d_separated",
     "select_test",
     "decider",
 ]
@@ -292,6 +286,18 @@ def _chi_square_scorer(t: CountTable, variant: str):
     return scores, max_sets
 
 
+def _query(x, y, s) -> tuple:
+    """The one check every public front makes of its query: x and y are
+    distinct and outside the conditioning set ``s``.  Returns ``s`` as a
+    tuple that holds each member once, in order."""
+    s = tuple(dict.fromkeys(s))
+    if x == y:
+        raise InputError("x and y must be distinct")
+    if x in s or y in s:
+        raise InputError("x and y must not appear in the conditioning set")
+    return s
+
+
 def chi_square_test(
     d: Dataset,
     x: str,
@@ -314,22 +320,13 @@ def chi_square_test(
     would pass a kernel call's cap.  ``alpha`` must lie in (0, 1).
     """
     require_alpha(alpha)
-    s = tuple(s)
-    if x == y:
-        raise InputError("x and y must be distinct")
-    if x in s or y in s:
-        raise InputError("x and y must not appear in the conditioning set")
-    if d.n == 0:
-        raise InputError("empty dataset")
+    s = _query(x, y, s)
     if variant not in (PEARSON, GSQUARED):
         raise InputError(f"unknown chi-square variant {variant!r}")
-    for name in (x, y, *s):
-        if d.col(name).kind != CATEGORICAL:
-            raise InputError(f"chi-square test needs categorical columns, {name!r} is not")
-    # a member named twice splits no stratum further
-    t = CountTable.of(Dataset([d.col(name) for name in dict.fromkeys((x, y, *s))]))
-    score, _ = _chi_square_scorer(t, variant)
-    [(statistic, dof)] = score(0, 1, [tuple(range(2, len(t.names)))])
+    query = Dataset([d.col(name) for name in (x, y, *s)])
+    select_test(query, "chi2")
+    score, _ = _chi_square_scorer(CountTable.of(query), variant)
+    [(statistic, dof)] = score(0, 1, [tuple(range(2, 2 + len(s)))])
     if dof == 0:
         return CiTestResult(0.0, 0, 1.0, True, alpha)
     p = chi2_sf(statistic, dof)
@@ -345,15 +342,10 @@ def fisher_z_test(d: Dataset, x: str, y: str, s=(), alpha: float = 0.05) -> CiTe
     ``alpha`` must lie in (0, 1).
     """
     require_alpha(alpha)
-    s = tuple(s)
-    if x == y:
-        raise InputError("x and y must be distinct")
-    if x in s or y in s:
-        raise InputError("x and y must not appear in the conditioning set")
-    for name in (x, y, *s):
-        if d.col(name).kind != CONTINUOUS:
-            raise InputError(f"fisher-z test needs continuous columns, {name!r} is not")
-    return fisher_z_columns([d.col(name).values for name in (x, y, *s)], alpha)
+    s = _query(x, y, s)
+    query = Dataset([d.col(name) for name in (x, y, *s)])
+    select_test(query, "fisherz")
+    return fisher_z_columns([c.values for c in query.columns], alpha)
 
 
 def fisher_z_columns(columns, alpha: float) -> CiTestResult:
@@ -440,19 +432,27 @@ class CiOracle:
 
 def oracle_test(o: CiOracle, x: str, y: str, s=()) -> bool:
     """True iff x and y are d-separated given s in the oracle's truth DAG."""
-    s = tuple(s)
+    s = _query(x, y, s)
     position = o._position
     for name in (x, y, *s):
         if name not in position:
             raise InputError(f"{name!r} is not an observed node of the oracle")
-    if x == y:
-        raise InputError("x and y must be distinct")
-    if x in s or y in s:
-        raise InputError("x and y must not be in the conditioning set")
-    z = 0
-    for name in s:
-        z |= 1 << position[name]
+    z = sum(1 << position[name] for name in s)
     return bayes_ball_separated(o.parents, o.children, position[x], position[y], z)
+
+
+def d_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
+    """d-separation of ``x`` and ``y`` given ``z`` in a DAG, nodes named or
+    indexed: ``oracle_test`` on an oracle that observes every node of ``g``.
+
+    True iff every path between them is blocked: a non-collider blocks when it
+    is in ``z``; a collider blocks unless it or one of its descendants is in
+    ``z``.  ``g`` must pass ``CiOracle``'s checks.  The oracle, and so its
+    masks, is built per call; build one ``CiOracle`` for many queries.
+    """
+    oracle = CiOracle(g, g.names)
+    x, y, *z = (g.names[g.index(v)] for v in (x, y, *z))
+    return oracle_test(oracle, x, y, z)
 
 
 def select_test(source: Dataset | CountTable, selector: str) -> str:

@@ -1,10 +1,12 @@
-"""Mixed graphs with endpoint marks: DAGs, MAGs and PAGs plus separation queries.
+"""Mixed graphs with endpoint marks: DAGs, MAGs and PAGs.
 
 A graph holds an immutable ordered node list and at most one edge per node
 pair.  Each edge carries one mark per endpoint (tail, arrow, circle).  It is
 stored as one adjacency bitmask per node and an n x n mark table, so that
 neighbour sets, reachability and separation are bit operations on masks
-(``bits``, ``directed_masks``, ``bayes_ball_separated``).  All query
+(``bits``, ``directed_masks``, ``bayes_ball_separated``).  This module keeps
+the Bayes-ball primitive on masks; the d-separation query by name,
+``citests.d_separated``, is a CI front like the others.  All query
 operations are read-only and safe to call concurrently; construction and
 mutation are single-owner.
 """
@@ -27,7 +29,6 @@ __all__ = [
     "BackgroundKnowledge",
     "bayes_ball_separated",
     "bits",
-    "d_separated",
     "directed_masks",
     "ancestors",
     "descendants",
@@ -286,38 +287,6 @@ def bayes_ball_separated(parents: list[int], children: list[int], x: int, y: int
     return True
 
 
-# -- separation ---------------------------------------------------------------
-
-
-def _check_query(g: MixedGraph, x: str | int, y: str | int, z) -> tuple[int, int, set[int]]:
-    xi, yi = g.index(x), g.index(y)
-    zi = {g.index(v) for v in z}
-    if xi == yi:
-        raise InputError("x and y must be distinct")
-    if xi in zi or yi in zi:
-        raise InputError("x and y must not be in the conditioning set")
-    return xi, yi, zi
-
-
-def d_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
-    """d-separation of ``x`` and ``y`` given ``z`` in a DAG.
-
-    True iff every path between them is blocked: a non-collider blocks when it
-    is in ``z``; a collider blocks unless it or one of its descendants is in
-    ``z``.  A graph of kind DAG that fails ``validate`` is rejected.  The
-    parent and child masks are built per call; ``CiOracle`` builds them once
-    for its many queries.
-    """
-    if g.kind is not GraphKind.DAG:
-        raise InputError(f"d_separated requires a DAG, got kind {g.kind.value!r}")
-    problems = validate(g)
-    if problems:
-        raise InputError(f"d_separated requires a valid DAG: {problems[0]}")
-    xi, yi, zi = _check_query(g, x, y, z)
-    parents, children = directed_masks(g)
-    return bayes_ball_separated(parents, children, xi, yi, sum(1 << v for v in zi))
-
-
 def _names(g: MixedGraph, mask: int, but: int) -> set[str]:
     return {name for v, name in enumerate(g.names) if mask >> v & 1 and v != but}
 
@@ -413,7 +382,9 @@ class BackgroundKnowledge:
     """Orientation and adjacency constraints applied during discovery.
 
     ``non_ancestor_pairs`` holds ordered pairs (a, b): a has no directed path
-    into b.  Adjacency constraints are unordered pairs.
+    into b.  Adjacency constraints are unordered pairs.  Each entry is
+    stored as two distinct names, a tuple for an ordered pair and a
+    frozenset for an unordered one; any other entry is an InputError.
     """
 
     non_ancestor_pairs: set[tuple[str, str]] = field(default_factory=set)
@@ -421,9 +392,9 @@ class BackgroundKnowledge:
     required_adjacencies: set[frozenset[str]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
-        for a, b in self.non_ancestor_pairs:
-            if a == b:
-                raise InputError(f"non-ancestor constraint on identical nodes {a!r}")
+        self.non_ancestor_pairs = {_pair(p, ordered=True) for p in self.non_ancestor_pairs}
+        self.forbidden_adjacencies = {_pair(p) for p in self.forbidden_adjacencies}
+        self.required_adjacencies = {_pair(p) for p in self.required_adjacencies}
         clash = self.forbidden_adjacencies & self.required_adjacencies
         if clash:
             pair = sorted(next(iter(clash)))
@@ -453,6 +424,19 @@ class BackgroundKnowledge:
             self.forbidden_adjacencies | other.forbidden_adjacencies,
             self.required_adjacencies | other.required_adjacencies,
         )
+
+
+def _pair(entry, ordered: bool = False) -> tuple[str, str] | frozenset[str]:
+    """A knowledge entry as two distinct names: a tuple, or, unordered, a
+    frozenset taken from a tuple or a set.  A string is no pair."""
+    what = "non-ancestor" if ordered else "adjacency"
+    kinds = tuple if ordered else (tuple, set, frozenset)
+    pair = tuple(entry) if isinstance(entry, kinds) else ()
+    if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
+        raise InputError(f"{what} entry {entry!r} is not a pair of names")
+    if pair[0] == pair[1]:
+        raise InputError(f"{what} constraint on identical nodes {pair[0]!r}")
+    return pair if ordered else frozenset(pair)
 
 
 # -- serialization -----------------------------------------------------------------

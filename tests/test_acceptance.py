@@ -34,7 +34,7 @@ from helpers import (
     random_dag,
 )
 from pagaudit import cli
-from pagaudit.citests import CiOracle, chi_square_test, fisher_z_test
+from pagaudit.citests import CiOracle, chi_square_test, d_separated, fisher_z_test
 from pagaudit.data import Column, Dataset, write_csv, schema_text
 from pagaudit.fci import Diagnostics, FciConfig, apply_orientation_rules, fci_run
 from pagaudit.graph import (
@@ -43,7 +43,6 @@ from pagaudit.graph import (
     Mark,
     MixedGraph,
     classify_edge,
-    d_separated,
     from_json,
     to_dot,
     to_json,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from pagaudit.citests import (
     chi_square_batch,
     chi_square_independent,
     chi_square_test,
+    d_separated,
     fisher_z_test,
     oracle_test,
 )
@@ -24,7 +26,7 @@ from pagaudit.tails import chi2_sf
 from pagaudit.data import Column, Dataset
 from pagaudit.errors import DegenerateInputError, InputError
 from pagaudit.fci import CiTester, FciConfig
-from pagaudit.graph import Mark
+from pagaudit.graph import GraphKind, Mark, MixedGraph
 from pagaudit.simgen import sample_dataset, truth_dag
 
 
@@ -428,6 +430,40 @@ def test_oracle_rejects_degenerate_queries():
         oracle_test(o, "H", "H", ())
     with pytest.raises(InputError, match="conditioning set"):
         oracle_test(o, "H", "Y", ("V", "Y"))
+
+
+def _fronts():
+    """Each public CI front, asked of (a, b, S) on a source over a, b, c."""
+    rng = np.random.default_rng(6)
+    cat = Dataset([Column(name, "cat", rng.integers(0, 2, 200), 2) for name in "abc"])
+    c = rng.normal(size=200)
+    cont = Dataset([_cont(name, c + rng.normal(size=200)) for name in "ab"] + [_cont("c", c)])
+    dag = MixedGraph(["a", "b", "c"], GraphKind.DAG)
+    dag.add_directed_edge("c", "a")
+    dag.add_directed_edge("c", "b")
+    return {
+        "chi2": partial(chi_square_test, cat),
+        "fisherz": partial(fisher_z_test, cont),
+        "oracle": partial(oracle_test, CiOracle(dag, dag.names)),
+        "d_separated": partial(d_separated, dag),
+    }
+
+
+@pytest.mark.parametrize("front", ["chi2", "fisherz", "oracle", "d_separated"])
+def test_every_front_checks_a_query_alike(front):
+    # one check serves every front: a repeated member is taken once (Fisher-z
+    # once read [c, c] as a singular correlation submatrix), and a degenerate
+    # query raises the same text everywhere
+    ask = _fronts()[front]
+    assert ask("a", "b", ["c", "c"]) == ask("a", "b", ["c"])
+    for query, problem in [
+        (("a", "a", ()), "x and y must be distinct"),
+        (("a", "b", ["c", "a"]), "x and y must not appear in the conditioning set"),
+        (("a", "b", ["b"]), "x and y must not appear in the conditioning set"),
+    ]:
+        with pytest.raises(InputError) as raised:
+            ask(*query)
+        assert str(raised.value) == problem
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -38,3 +39,29 @@ def test_the_search_module_holds_no_array_code():
         for value in vars(fci).values()
     )
     assert not {"chi_square_batch", "fisher_z_columns", "bayes_ball_separated"} & set(vars(fci))
+
+
+def test_one_function_checks_every_ci_query():
+    # the fronts chi_square_test, fisher_z_test, oracle_test and d_separated
+    # share citests' query check; none words it again
+    raisers = set()
+    for module in _modules():
+        for func in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(func, ast.FunctionDef):
+                raisers.update(
+                    f"{module.__name__}.{func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Raise)
+                    and any(
+                        isinstance(arg, ast.Constant) and arg.value == "x and y must be distinct"
+                        for arg in ast.walk(node)
+                    )
+                )
+    assert raisers == {"pagaudit.citests._query"}
+
+
+def test_d_separated_is_the_oracle_front():
+    from pagaudit import citests, graph
+
+    assert not hasattr(graph, "d_separated")
+    assert pagaudit.d_separated is citests.d_separated

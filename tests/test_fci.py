@@ -946,6 +946,45 @@ def test_parse_knowledge_errors():
         )
 
 
+def _three_columns():
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 2, 300)
+    b = (a + (rng.random(300) < 0.2)) % 2
+    c = rng.integers(0, 2, 300)
+    return Dataset([Column(name, "cat", v, 2) for name, v in zip("abc", (a, b, c))])
+
+
+@pytest.mark.parametrize(
+    "entry", [frozenset(("a",)), frozenset("abc"), "ab", ("a", 1)], ids=["one", "three", "str", "int"]
+)
+@pytest.mark.parametrize("field", ["forbidden_adjacencies", "required_adjacencies"])
+def test_an_adjacency_entry_must_name_two_nodes(field, entry):
+    # a one- or three-name entry once reached fci_run and died there
+    # unpacking it, with a builtins ValueError
+    with pytest.raises(InputError, match=r"adjacency entry .* is not a pair of names"):
+        fci_run(_three_columns(), BackgroundKnowledge(**{field: {entry}}))
+
+
+@pytest.mark.parametrize(
+    "entry", ["ab", ("a", "b", "c"), ("a",), frozenset("ab")], ids=["str", "three", "one", "set"]
+)
+def test_a_non_ancestor_entry_must_be_an_ordered_pair_of_names(entry):
+    with pytest.raises(InputError, match=r"non-ancestor entry .* is not a pair of names"):
+        fci_run(_three_columns(), BackgroundKnowledge(non_ancestor_pairs={entry}))
+
+
+def test_knowledge_entries_are_normalized_before_the_clash_check():
+    # a forbidden tuple and a required frozenset of one pair once passed the
+    # check, and the forbidden entry removed a-b with a knowledge sepset
+    with pytest.raises(InputError, match=r"adjacency \['a', 'b'\] both forbidden and required"):
+        BackgroundKnowledge(forbidden_adjacencies={("a", "b")}, required_adjacencies={frozenset("ab")})
+    know = BackgroundKnowledge({("c", "a")}, {("b", "c"), frozenset("ac")}, {("b", "a")})
+    assert know.non_ancestor_pairs == {("c", "a")}
+    assert know.forbidden_adjacencies == {frozenset("bc"), frozenset("ac")}
+    assert know.required_adjacencies == {frozenset("ab")}
+    assert fci_run(_three_columns(), know).graph.adjacent("a", "b")
+
+
 def test_sepset_map_contract():
     seps = SepSetMap()
     with pytest.raises(InternalConsistencyError):

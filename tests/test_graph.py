@@ -13,6 +13,7 @@ from helpers import (
     random_dag,
     separated_by_paths,
 )
+from pagaudit.citests import d_separated
 from pagaudit.errors import InputError
 from pagaudit.graph import (
     BackgroundKnowledge,
@@ -23,7 +24,6 @@ from pagaudit.graph import (
     MixedGraph,
     ancestors,
     classify_edge,
-    d_separated,
     descendants,
     directed_masks,
     from_json,
