@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import CATEGORICAL, CONTINUOUS, CountTable, Dataset, distinct_rows
 from .errors import DegenerateInputError, InputError, require_alpha
-from .graph import GraphKind, MixedGraph, bayes_ball_separated, bits, directed_masks, validate
+from .graph import GraphKind, MixedGraph, _Unions, bayes_ball_separated, bits, directed_masks, validate
 from .tails import chi2_sf, normal_sf
 
 __all__ = [
@@ -393,19 +393,21 @@ class CiOracle:
     Only ``observed`` nodes, which must be distinct, may be queried; the rest
     act as latent variables.  The truth must pass ``graph.validate`` as a DAG
     (directed edges only, no directed cycle).  Its parent and child sets are
-    compiled at construction to the bitmasks ``parents`` and ``children``,
-    relabelled so that the node at position i of ``observed`` is node i, and
-    the latent nodes follow in truth order: a set of observed positions is
-    then its own conditioning mask, and ``graph.bayes_ball_separated`` on the
-    two lists answers a query of positions.  The oracle answers from the
-    truth as it was then: later edits to ``truth`` do not reach it.
+    compiled at construction to bitmasks, relabelled so that the node at
+    position i of ``observed`` is node i, and the latent nodes follow in
+    truth order: a set of observed positions is then its own conditioning
+    mask.  ``parents`` and ``children`` map a node mask to the union of its
+    nodes' parents (children), filled per mask as queries reach it and kept
+    for the oracle's life, and ``graph.bayes_ball_separated`` on the two
+    maps answers a query of positions.  The oracle answers from the truth as
+    it was then: later edits to ``truth`` do not reach it.
     """
 
     truth: MixedGraph
     observed: tuple[str, ...]
     _position: dict[str, int] = field(init=False, repr=False, compare=False)
-    parents: list[int] = field(init=False, repr=False, compare=False)
-    children: list[int] = field(init=False, repr=False, compare=False)
+    parents: _Unions = field(init=False, repr=False, compare=False)
+    children: _Unions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.truth.kind is not GraphKind.DAG:
@@ -426,8 +428,8 @@ class CiOracle:
         parents, children = directed_masks(self.truth)
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "_position", {name: i for i, name in enumerate(observed)})
-        object.__setattr__(self, "parents", [relabel(parents[old]) for old in order])
-        object.__setattr__(self, "children", [relabel(children[old]) for old in order])
+        object.__setattr__(self, "parents", _Unions([relabel(parents[old]) for old in order]))
+        object.__setattr__(self, "children", _Unions([relabel(children[old]) for old in order]))
 
 
 def oracle_test(o: CiOracle, x: str, y: str, s=()) -> bool:
@@ -455,16 +457,27 @@ def d_separated(g: MixedGraph, x: str | int, y: str | int, z=()) -> bool:
     return oracle_test(oracle, x, y, z)
 
 
+# the selectors a dataset takes; "oracle" selects a CiOracle source
+_DATASET_TESTS = ("auto", "chi2", "g2", "fisherz")
+_SELECTORS = (*_DATASET_TESTS, "oracle")
+
+
+def _require_selector(selector, known: tuple[str, ...] = _SELECTORS) -> None:
+    if selector not in known:
+        raise InputError(f"unknown test selector {selector!r}: choose one of {', '.join(known)}")
+
+
 def select_test(source: Dataset | CountTable, selector: str) -> str:
     """The dataset test, chi2, g2 or fisherz, that ``selector`` picks for the
     source's columns, checked before any query runs.
 
     ``auto`` picks chi-square for all-categorical columns and Fisher-z for
     all-continuous ones; an explicit test must fit every column.  A count
-    table's columns are categorical.
+    table's columns are categorical.  Any other selector is an InputError.
     """
     if selector == "oracle":
         raise InputError("oracle test selected but source is a dataset")
+    _require_selector(selector, _DATASET_TESTS)
     if isinstance(source, CountTable):
         kinds = dict.fromkeys(source.names, CATEGORICAL)
     else:
@@ -495,10 +508,12 @@ def decider(source: Dataset | CountTable | CiOracle, selector: str, alpha: float
     x, y with a pair per set, the queries of a score-ahead step.  The oracle
     and Fisher-z answer one query (x, y, z) of indices, z the bitmask of S,
     with a bool (batch size None): the oracle is Bayes-ball on its own
-    masks.  An oracle source always uses the oracle; a dataset's test is
-    chosen by ``select_test``.
+    masks.  An oracle source uses the oracle under any known selector; a
+    dataset's test is chosen by ``select_test``.  An unknown selector is an
+    InputError for either.
     """
     if isinstance(source, CiOracle):
+        _require_selector(selector)
         return partial(bayes_ball_separated, source.parents, source.children), None
     test = select_test(source, selector)
     if test == "fisherz":

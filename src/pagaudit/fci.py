@@ -50,7 +50,7 @@ from itertools import chain, combinations
 # chi_square_test and oracle_test are not called here, but stay importable
 # as pagaudit.fci.chi_square_test and pagaudit.fci.oracle_test, names the
 # benchmark's tracer wraps
-from .citests import CiOracle, chi_square_test, decider, oracle_test  # noqa: F401
+from .citests import CiOracle, _require_selector, chi_square_test, decider, oracle_test  # noqa: F401
 from .data import CountTable, Dataset
 from .errors import (
     InputError,
@@ -99,8 +99,7 @@ class FciConfig:
             require_number("max_cond_size", self.max_cond_size, whole=True)
         if self.max_cond_size is not None and self.max_cond_size < 0:
             raise InputError("max_cond_size must be nonnegative or None")
-        if self.test not in ("auto", "chi2", "g2", "fisherz", "oracle"):
-            raise InputError(f"unknown test selector {self.test!r}")
+        _require_selector(self.test)
 
 
 @dataclass

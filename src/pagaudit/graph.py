@@ -8,7 +8,11 @@ neighbour sets, reachability and separation are bit operations on masks
 the Bayes-ball primitive on masks; the d-separation query by name,
 ``citests.d_separated``, is a CI front like the others.  All query
 operations are read-only and safe to call concurrently; construction and
-mutation are single-owner.
+mutation are single-owner.  Two caches fill as queries run: ``bits`` keeps
+the node tuples of recent masks, and each oracle's frontier maps
+(``_Unions``) keep the union of every frontier mask a Bayes-ball query has
+stepped from.  Both fills are idempotent (a mask's entry is a function of
+the mask alone), so concurrent reads stay safe.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InputError
 
@@ -176,7 +181,7 @@ class MixedGraph:
 
     def neighbors(self, node: str | int) -> list[int]:
         """Adjacent node indices in node order."""
-        return bits(self.adj[self.index(node)])
+        return list(bits(self.adj[self.index(node)]))
 
     def edges(self) -> list[Edge]:
         """Edges sorted by node-index pair."""
@@ -216,14 +221,19 @@ class MixedGraph:
 # -- directed reachability over bitmasks ---------------------------------------
 
 
-def bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, as node indices in ascending order."""
+@lru_cache(maxsize=1 << 10)
+def bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, as node indices in ascending order.
+
+    FCI's walks and rules ask for the same few adjacency masks over and
+    over, so the most recent masks' tuples are kept.
+    """
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
+    return tuple(out)
 
 
 def directed_masks(g: MixedGraph) -> tuple[list[int], list[int]]:
@@ -251,6 +261,21 @@ def _union(mask: int, step: list[int]) -> int:
     return out
 
 
+class _Unions(dict):
+    """Frontier mask -> ``_union(mask, step)``, each mask's union computed on
+    its first lookup and kept; ``step`` is a parent or child mask per node."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: list[int]):
+        super().__init__()
+        self.step = step
+
+    def __missing__(self, mask: int) -> int:
+        self[mask] = out = _union(mask, self.step)
+        return out
+
+
 def _closure(mask: int, step: list[int]) -> int:
     """``mask`` and every node reachable from it by repeated ``step``."""
     seen = frontier = mask
@@ -260,26 +285,32 @@ def _closure(mask: int, step: list[int]) -> int:
     return seen
 
 
-def bayes_ball_separated(parents: list[int], children: list[int], x: int, y: int, z: int) -> bool:
+def bayes_ball_separated(parents: _Unions, children: _Unions, x: int, y: int, z: int) -> bool:
     """d-separation of nodes ``x`` and ``y`` given the node bitmask ``z``.
 
-    ``parents`` and ``children`` are the DAG's masks from ``directed_masks``;
-    neither ``x`` nor ``y`` may be in ``z``.  Bayes-ball (Shachter 1998): the
-    ball starts at ``x`` as if passed up from a child.  A node outside ``z``
-    passes a ball from a child on to its parents and children, and a ball
-    from a parent on to its children; a node in ``z`` stops a ball from a
-    child and bounces one from a parent back up to its parents.  The bounce
-    opens a collider with a descendant in ``z``: the ball runs down to that
-    descendant and back up.  Both frontiers advance as masks, and ``y``
-    reached means d-connected.
+    ``parents`` and ``children`` map a node mask to the union of its nodes'
+    parents (children) in the DAG: the ``_Unions`` of the DAG's masks from
+    ``directed_masks``, as a ``citests.CiOracle`` holds them, so each
+    frontier a query reaches is unioned once per oracle and then looked up.
+    A list of per-node masks is not such a map.  Neither ``x`` nor ``y`` may
+    be in ``z``.
+
+    Bayes-ball (Shachter 1998): the ball starts at ``x`` as if passed up
+    from a child.  A node outside ``z`` passes a ball from a child on to its
+    parents and children, and a ball from a parent on to its children; a
+    node in ``z`` stops a ball from a child and bounces one from a parent
+    back up to its parents.  The bounce opens a collider with a descendant
+    in ``z``: the ball runs down to that descendant and back up.  Both
+    frontiers advance as masks, one lookup each per step, and ``y`` reached
+    means d-connected.
     """
     target = 1 << y
     up = up_front = 1 << x  # nodes a ball was passed up to, from a child
     down = down_front = 0  # nodes a ball was passed down to, from a parent
     while up_front or down_front:
         free = up_front & ~z
-        up_front = _union(free | down_front & z, parents) & ~up
-        down_front = _union(free | down_front & ~z, children) & ~down
+        up_front = parents[free | down_front & z] & ~up
+        down_front = children[free | down_front & ~z] & ~down
         if (up_front | down_front) & target:
             return False
         up |= up_front

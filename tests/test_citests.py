@@ -432,6 +432,25 @@ def test_oracle_rejects_degenerate_queries():
         oracle_test(o, "H", "Y", ("V", "Y"))
 
 
+@pytest.mark.parametrize("selector", ["nonsense", "", "CHI2", "gsquared", None])
+def test_an_unknown_test_selector_is_an_input_error(selector):
+    # a name outside auto/chi2/g2/fisherz once fell through to Pearson chi-square
+    d = Dataset([Column(name, "cat", np.array([0, 1, 1, 0] * 10), 2) for name in "abc"])
+    known = "choose one of auto, chi2, g2, fisherz"
+    with pytest.raises(InputError, match=known):
+        citests_module.select_test(d, selector)
+    with pytest.raises(InputError, match=known):
+        citests_module.decider(d, selector, 0.05)
+    with pytest.raises(InputError, match=known + ", oracle"):
+        citests_module.decider(CiOracle(truth_dag(), ("H", "V")), selector, 0.05)
+    with pytest.raises(InputError, match=known + ", oracle"):
+        FciConfig(test=selector)
+    with pytest.raises(InputError, match="oracle test selected but source is a dataset"):
+        citests_module.select_test(d, "oracle")
+    for name in ("auto", "chi2", "g2"):
+        assert citests_module.select_test(d, name) == ("chi2" if name == "auto" else name)
+
+
 def _fronts():
     """Each public CI front, asked of (a, b, S) on a source over a, b, c."""
     rng = np.random.default_rng(6)
@@ -498,6 +517,41 @@ def test_oracle_matches_path_enumeration(seed, n, p_edge):
     expected = helpers.separated_by_paths(g, x, y, z)
     assert oracle_test(o, x, y, z) == expected
     assert oracle_test(o, y, x, z) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(9, 20),
+    p_edge=st.sampled_from([0.15, 0.25, 0.4]),
+)
+def test_a_warm_oracle_answers_as_a_fresh_one(seed, n, p_edge):
+    # one oracle asked many queries fills its frontier maps; masks of 9-20
+    # nodes span one and two bytes, with the latent nodes numbered last
+    import helpers
+
+    rng = np.random.default_rng(seed)
+    g = helpers.random_dag(rng, n, p_edge)
+    # at least two observed nodes, in shuffled order; the rest are latent
+    order = [g.names[int(i)] for i in rng.permutation(n)]
+    observed = order[:2] + [v for v in order[2:] if rng.random() < 0.75]
+    truth = g.copy()
+    o = CiOracle(g, tuple(observed))
+    queries = []
+    for _ in range(40):
+        x, y = (observed[int(v)] for v in rng.choice(len(observed), size=2, replace=False))
+        z = [v for v in observed if v not in (x, y) and rng.random() < 0.3]
+        queries.append((x, y, z))
+    answers = [oracle_test(o, *q) for q in queries]
+    assert o.parents and o.children  # the maps were filled
+    for (x, y, z), answer in zip(queries, answers):
+        assert answer == oracle_test(CiOracle(truth, tuple(observed)), x, y, z)
+        if n <= 10:
+            assert answer == helpers.separated_by_paths(truth, x, y, z)
+    # edits to the truth after construction reach neither the masks nor the maps
+    for e in g.edges():
+        g.remove_edge(e.a, e.b)
+    assert [oracle_test(o, *q) for q in queries] == answers
 
 
 def test_oracle_agrees_with_exact_joint_independence():

@@ -23,6 +23,7 @@ from helpers import (
 )
 from pagaudit import citests as citests_module
 from pagaudit import fci as fci_module
+from pagaudit import graph as graph_module
 from pagaudit.citests import (
     GSQUARED,
     PEARSON,
@@ -314,6 +315,30 @@ def test_xray8_replicates_take_few_kernel_calls(monkeypatch):
             fci_run(bootstrap_replicate(table, 1, i), cfg=FciConfig(test="chi2"), target="label")
             replicates += 1
     assert replicates <= calls <= 12 * replicates
+
+
+def test_oracle_fci_unions_each_frontier_once(monkeypatch):
+    # oracle FCI on these 20 DAGs makes 3,177 frontier unions; a union per
+    # Bayes-ball step made 97,347 for the same 32,332 tests and 16,079 cache
+    # hits.  Each run unions at least once, so a count of 0 means the
+    # patched name is no longer the one the oracle's maps call
+    calls = 0
+    union = graph_module._union
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return union(*args)
+
+    monkeypatch.setattr(graph_module, "_union", counted)
+    tests = hits = 0
+    for seed in range(20):
+        dag, observed = random_latent_dag(seed, 12, 20, 3)
+        diag = fci_run(CiOracle(dag, observed), cfg=FciConfig(test="oracle")).diagnostics
+        tests += diag.tests_run
+        hits += diag.cache_hits
+    assert (tests, hits) == (32_332, 16_079)
+    assert 20 <= calls <= 97_347 // 10
 
 
 def test_a_tester_never_scores_the_same_query_twice(monkeypatch):

@@ -23,6 +23,7 @@ from pagaudit.graph import (
     Mark,
     MixedGraph,
     ancestors,
+    bits,
     classify_edge,
     descendants,
     directed_masks,
@@ -345,6 +346,36 @@ def test_dsep_symmetric_and_matches_path_enumeration(seed, n):
     got = d_separated(g, x, y, z)
     assert got == d_separated(g, y, x, z)
     assert got == separated_by_paths(g, x, y, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mask=st.one_of(
+        st.just(0),
+        st.integers(0, 130).map(lambda v: 1 << v),
+        st.integers(0, 2**64 - 1),
+        st.integers(2**64, 2**140),
+    )
+)
+def test_bits_are_the_set_bits_in_order(mask):
+    expected = tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    assert bits(mask) == expected
+    assert type(bits(mask)) is tuple  # the second call is answered by the cache
+
+
+def test_bits_cache_is_bounded_and_neighbors_stay_a_list():
+    maxsize = bits.cache_info().maxsize
+    assert maxsize is not None
+    for mask in range(1, 2 * maxsize):
+        bits(mask)
+    assert bits.cache_info().currsize <= maxsize
+    g = MixedGraph(["A", "B", "C"], GraphKind.PAG)
+    g.add_circle_edge("A", "B")
+    g.add_circle_edge("A", "C")
+    nbrs = g.neighbors("A")
+    assert type(nbrs) is list and nbrs == [1, 2]
+    nbrs.append(0)  # the caller's list is its own: the cached tuple is untouched
+    assert g.neighbors("A") == [1, 2] and bits(0b110) == (1, 2)
 
 
 def test_adjacent_pairs_never_dseparated():
