@@ -83,6 +83,9 @@ class Dataset:
         if not columns:
             raise InputError("dataset needs at least one column")
         names = [c.name for c in columns]
+        for name in names:
+            if not isinstance(name, str):
+                raise InputError(f"column name {name!r} is not a string")
         if len(set(names)) != len(names):
             raise InputError("duplicate column names")
         lengths = {len(c.values) for c in columns}

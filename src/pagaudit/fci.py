@@ -11,13 +11,14 @@ run is a deterministic function of its inputs.  The stages work on the
 mark table ``marks``, indexed by node without the checks of its public
 methods; a neighbour set is the set bits of a mask, in node order.
 
-Both pruning stages, each skeleton depth and Possible-D-SEP, go through one
-stage runner, ``_run_stage``: it walks each adjacent pair (x, y) through the
-subsets of a candidate mask of x minus y, and leaves out the later walk of a
-pair when the earlier one, of (y, x), asked all its sets.  That rests on a
-test answering (x, y, S) and (y, x, S) alike, which the tester's cache, keyed
-by the unordered query, already assumes; only the left-out walk's cache hits
-go.
+Both pruning stages, each skeleton depth and Possible-D-SEP, take one
+``CiTester``, and read the run's names, ``FciConfig`` and ``Diagnostics``
+from it.  They go through one stage runner, ``_run_stage``: it walks each
+adjacent pair (x, y) through the subsets of a candidate mask of x minus y,
+and leaves out the later walk of a pair when the earlier one, of (y, x),
+asked all its sets.  That rests on a test answering (x, y, S) and (y, x, S)
+alike, which the tester's cache, keyed by the unordered query, already
+assumes; only the left-out walk's cache hits go.
 
 Each CI walk, one ordered pair and its candidate sets, stops at the first
 independence.  ``CiTester`` takes its decision, and the number of sets one
@@ -159,8 +160,10 @@ class SepSetMap:
 class CiTester:
     """Caching adapter from (x, y, S) index queries to a CI decision.
 
-    Wraps a dataset-backed test or an oracle, chosen once at construction;
-    counts evaluations, cache hits and zero-dof (uninformative) results.  A
+    Wraps a dataset-backed test or an oracle, chosen once at construction
+    by ``cfg``, which the stages read too, like ``names``.  Its own
+    ``diagnostics`` count evaluations, cache hits and zero-dof
+    (uninformative) results, and every stage of a run counts into them.  A
     query's cache key is one integer: the bitmask of S above the pair.  The
     key does not say which way round the pair was asked, so an answer serves
     both orientations.
@@ -184,13 +187,9 @@ class CiTester:
     again.
     """
 
-    def __init__(
-        self,
-        source: Dataset | CountTable | CiOracle,
-        cfg: FciConfig,
-        diagnostics: Diagnostics | None = None,
-    ):
-        self.diagnostics = diagnostics if diagnostics is not None else Diagnostics()
+    def __init__(self, source: Dataset | CountTable | CiOracle, cfg: FciConfig):
+        self.cfg = cfg
+        self.diagnostics = Diagnostics()
         # a decision by cache key, or an unused (independent, uninformative)
         # result scored ahead
         self._cache: dict[int, bool | tuple[bool, bool]] = {}
@@ -206,9 +205,6 @@ class CiTester:
         # the sets of one kernel call, or None for a decider that answers one
         # query at a time
         self._decide, self._batch = decider(source, cfg.test, cfg.alpha)
-
-    def __call__(self, x: int, y: int, s: tuple[int, ...]) -> bool:
-        return self.first_independent(x, y, (tuple(s),)) is not None
 
     def score_ahead(self, walks) -> None:
         """Score the sets of the short walks of a stage before the walks run.
@@ -340,14 +336,6 @@ class CiTester:
         raise wrapped from exc
 
 
-def _first_independent(test, x: int, y: int, subsets):
-    """``test.first_independent`` of a CiTester; any other callable test is
-    asked one set at a time."""
-    if isinstance(test, CiTester):
-        return test.first_independent(x, y, subsets)
-    return next((s for s in subsets if test(x, y, s)), None)
-
-
 def _run_stage(test, g: MixedGraph, sepsets: SepSetMap, candidates, sizes: range, required) -> None:
     """Walk the adjacent pairs of ``g``, removing each edge at its walk's
     first independence and recording the set.
@@ -359,7 +347,7 @@ def _run_stage(test, g: MixedGraph, sepsets: SepSetMap, candidates, sizes: range
     is not walked when candidates[x] minus y lies within candidates[y], or
     when the empty set is the walk's only set: candidates only shrink within
     a stage, so the earlier walk of (y, x) asked all these sets and, the
-    edge being still there, found every one of them dependent.  A CiTester
+    edge being still there, found every one of them dependent.  The tester
     is first given the walks made before any edge goes, to score ahead.
     """
     adj = g.adj
@@ -375,10 +363,9 @@ def _run_stage(test, g: MixedGraph, sepsets: SepSetMap, candidates, sizes: range
                 if len(others) >= sizes.start:
                     yield x, y, chain.from_iterable(map(partial(combinations, others), sizes))
 
-    if isinstance(test, CiTester):
-        test.score_ahead(walks())
+    test.score_ahead(walks())
     for x, y, subsets in walks():
-        s = _first_independent(test, x, y, subsets)
+        s = test.first_independent(x, y, subsets)
         if s is not None:
             g.remove_edge(x, y)
             sepsets.set(x, y, s)
@@ -398,29 +385,24 @@ def _adjacency_masks(g: MixedGraph, pairs) -> list[int]:
 
 
 def skeleton_search(
-    test,
-    nodes,
-    cfg: FciConfig | None = None,
-    knowledge: BackgroundKnowledge | None = None,
-    diagnostics: Diagnostics | None = None,
+    test: CiTester, knowledge: BackgroundKnowledge | None = None
 ) -> tuple[MixedGraph, SepSetMap]:
-    """Level-wise edge removal from the complete circle graph.
+    """Level-wise edge removal from the complete circle graph on ``test.names``.
 
-    For depth k = 0, 1, ... the stage runner walks each adjacent pair (x, y)
-    through every size-k subset of adj(x) minus y, in lexicographic order;
-    the first independence removes the edge and records the subset.  adj(x)
-    is read when the pair's walk starts, after the removals before it.  The
-    walk of (x, y), x > y, is left out when adj(x) minus y lies within
-    adj(y), and at depth 0: the walk of (y, x) at this depth already asked
-    all its sets.  That rests on a test answering (x, y, S) and (y, x, S)
-    alike, as the tester's cache assumes.
+    For depth k = 0, 1, ... up to ``test.cfg.max_cond_size`` the stage
+    runner walks each adjacent pair (x, y) through every size-k subset of
+    adj(x) minus y, in lexicographic order; the first independence removes
+    the edge and records the subset.  adj(x) is read when the pair's walk
+    starts, after the removals before it.  The walk of (x, y), x > y, is
+    left out when adj(x) minus y lies within adj(y), and at depth 0: the
+    walk of (y, x) at this depth already asked all its sets.  That rests on
+    a test answering (x, y, S) and (y, x, S) alike, as the tester's cache
+    assumes.
     """
-    cfg = cfg or FciConfig()
-    names = tuple(nodes)
-    if len(names) < 2:
+    if len(test.names) < 2:
         raise InputError("need at least two variables")
-    diag = diagnostics if diagnostics is not None else Diagnostics()
-    g = MixedGraph(names, GraphKind.PAG)
+    diag, limit = test.diagnostics, test.cfg.max_cond_size
+    g = MixedGraph(test.names, GraphKind.PAG)
     n, adj = g.n_nodes, g.adj
     seps = SepSetMap()
     knowledge = knowledge or BackgroundKnowledge()
@@ -434,7 +416,7 @@ def skeleton_search(
                 g.add_circle_edge(i, j)
     diag.stage_edge_counts.setdefault("initial", g.n_edges)
     depth = 0
-    while cfg.max_cond_size is None or depth <= cfg.max_cond_size:
+    while limit is None or depth <= limit:
         if max(mask.bit_count() for mask in adj) - 1 < depth:
             break
         _run_stage(test, g, seps, adj, range(depth, depth + 1), required)
@@ -511,36 +493,33 @@ def _possible_dsep_set(g: MixedGraph, x: int) -> int:
 def possible_dsep_prune(
     g: MixedGraph,
     sepsets: SepSetMap,
-    test,
-    cfg: FciConfig | None = None,
+    test: CiTester,
     knowledge: BackgroundKnowledge | None = None,
-    diagnostics: Diagnostics | None = None,
 ) -> tuple[MixedGraph, SepSetMap]:
     """Retest every remaining edge against subsets of Possible-D-SEP sets.
 
     Resets a copy of ``g`` to circles and orients its colliders, a
-    provisional pass counted in ``diagnostics`` like any other, to define
-    each node's set; the sets are then fixed for the stage.  The stage
-    runner walks each adjacent pair (x, y) through the subsets of PDS(x)
-    minus y of size 0, 1, ... up to the size limit, and removes the edge at
-    the walk's first independence, recording the set.  The walk of (x, y),
-    x > y, is left out when PDS(x) minus y lies within PDS(y), or is
-    empty: the walk of (y, x) already asked all its sets, and a test
-    answers (x, y, S) and (y, x, S) alike.  All marks are reset to circles
-    at the end.
+    provisional pass counted in ``test.diagnostics`` like any other, to
+    define each node's set; the sets are then fixed for the stage.  The
+    stage runner walks each adjacent pair (x, y) through the subsets of
+    PDS(x) minus y of size 0, 1, ... up to ``test.cfg.max_cond_size`` (at
+    most the node count), and removes the edge at the walk's first
+    independence, recording the set.  The walk of (x, y), x > y, is left
+    out when PDS(x) minus y lies within PDS(y), or is empty: the walk of
+    (y, x) already asked all its sets, and a test answers (x, y, S) and
+    (y, x, S) alike.  All marks are reset to circles at the end.
     """
-    cfg = cfg or FciConfig()
-    diag = diagnostics if diagnostics is not None else Diagnostics()
     work = g.copy()
     _reset_marks(work)
-    _orient_colliders_inplace(work, sepsets, diag)
+    _orient_colliders_inplace(work, sepsets, test.diagnostics)
     required = _adjacency_masks(work, (knowledge or BackgroundKnowledge()).required_adjacencies)
     pds = [_possible_dsep_set(work, x) for x in range(work.n_nodes)]
     # no set has more members than there are nodes, whatever the limit
-    limit = work.n_nodes if cfg.max_cond_size is None else min(cfg.max_cond_size, work.n_nodes)
+    limit = test.cfg.max_cond_size
+    limit = work.n_nodes if limit is None else min(limit, work.n_nodes)
     _run_stage(test, work, sepsets, pds, range(limit + 1), required)
     _reset_marks(work)
-    diag.stage_edge_counts.setdefault("post_possible_dsep", work.n_edges)
+    test.diagnostics.stage_edge_counts.setdefault("post_possible_dsep", work.n_edges)
     return work, sepsets
 
 
@@ -829,10 +808,8 @@ def fci_run(
     ``target`` is shorthand for declaring that variable a non-ancestor of all
     others (the prediction-column constraint); it merges with ``knowledge``.
     """
-    cfg = cfg or FciConfig()
-    diag = Diagnostics()
-    tester = CiTester(source, cfg, diag)
-    names = tester.names
+    tester = CiTester(source, cfg or FciConfig())
+    names, diag = tester.names, tester.diagnostics
     if target is not None:
         if target not in names:
             raise InputError(f"target {target!r} is not a variable")
@@ -841,10 +818,10 @@ def fci_run(
     if knowledge is not None:
         knowledge.check_names(names)
 
-    g, seps = skeleton_search(tester, names, cfg, knowledge, diag)
-    if cfg.enable_possible_dsep:
+    g, seps = skeleton_search(tester, knowledge)
+    if tester.cfg.enable_possible_dsep:
         # PDS orients the skeleton's colliders itself, counted in diag
-        g, seps = possible_dsep_prune(g, seps, tester, cfg, knowledge, diag)
+        g, seps = possible_dsep_prune(g, seps, tester, knowledge)
     g = orient_colliders(g, seps, diag)
     g = apply_orientation_rules(g, knowledge, seps, diag)
     diag.stage_edge_counts["final"] = g.n_edges

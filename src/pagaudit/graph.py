@@ -104,6 +104,10 @@ class MixedGraph:
 
     def __init__(self, names: list[str] | tuple[str, ...], kind: GraphKind | str = GraphKind.PAG):
         names = tuple(names)
+        for name in names:
+            # a non-str name could collide with a node index in _index
+            if not isinstance(name, str):
+                raise InputError(f"node name {name!r} is not a string")
         if len(set(names)) != len(names):
             raise InputError(f"duplicate node names: {sorted(names)}")
         self.names = names

@@ -174,15 +174,19 @@ def run_stability(
 
     Replicates run one after another, and each depends only on the data, the
     base seed and its index, so the report is reproducible from the base
-    seed.  The CI test is chosen once, and a test that does not fit the
-    column kinds raises InputError before any replicate runs.  Replicates
-    that fail on their data are recorded and excluded from the denominators.
+    seed.  The CI test is chosen once; a test that does not fit the column
+    kinds, or knowledge that names an unknown variable, raises InputError
+    before any replicate runs.  Replicates that fail on their data are
+    recorded and excluded from the denominators.
     """
     if not d.has(cfg.target):
         raise InputError(f"target {cfg.target!r} is not a column")
     features = [n for n in d.names if n != cfg.target]
     if not features:
         raise InputError("no feature columns besides the target")
+    # knowledge naming an unknown variable would fail every replicate alike
+    if knowledge is not None:
+        knowledge.check_names(d.names)
 
     # select_test raises on a test that does not fit the columns, which would
     # fail every replicate alike

@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,16 @@ def test_dataset_invariants():
     c3 = Column("b", "cat", np.array([0, 1, 1]), 2)
     with pytest.raises(InputError):
         Dataset([c1, c3])  # ragged
+
+
+@pytest.mark.parametrize("name", [0, 1, None, 2.0])
+def test_a_column_name_that_is_not_a_str_is_rejected(name):
+    # a noise column named 0 once reached FCI, whose graph read the name 0 as
+    # node index 0: with x, y dependent, classify_edge(g, 0, "y") called the
+    # noise column a possible cause of y
+    cols = [Column(n, "cat", np.array([0, 1, 0, 1]), 2) for n in ("x", name, "y")]
+    with pytest.raises(InputError, match=rf"column name {re.escape(repr(name))} is not a string"):
+        Dataset(cols)
 
 
 def test_columns_are_immutable():

@@ -70,9 +70,13 @@ def shapes_oracle():
     return CiOracle(truth_dag(outcome_name="Yhat"), OBS4)
 
 
-def oracle_tester(oracle, cfg=None):
-    cfg = cfg or FciConfig(test="oracle")
-    return CiTester(oracle, cfg), cfg
+def oracle_tester(oracle, **cfg):
+    return CiTester(oracle, FciConfig(test="oracle", **cfg))
+
+
+def edgeless_tester(names):
+    """An oracle tester on which every pair is independent given any set."""
+    return oracle_tester(CiOracle(build_dag(names, []), names))
 
 
 def learned_pag():
@@ -115,8 +119,7 @@ def test_config_takes_numpy_numbers():
 
 
 def test_skeleton_on_shapes_oracle():
-    tester, cfg = oracle_tester(shapes_oracle())
-    g, seps = skeleton_search(tester, OBS4, cfg)
+    g, seps = skeleton_search(oracle_tester(shapes_oracle()))
     got = {(e.a, e.b) for e in g.edges()}
     assert got == {("H", "V"), ("H", "R"), ("V", "Yhat"), ("R", "Yhat")}
     by_name = seps.as_names(OBS4)
@@ -128,38 +131,38 @@ def test_skeleton_on_shapes_oracle():
 
 
 def test_skeleton_mutually_independent_nodes():
-    calls = []
+    tester, calls = edgeless_tester(("A", "B", "C")), []
+    decide = tester._decide
 
-    def indep_test(x, y, s):
+    def recorded(x, y, s):
         calls.append((x, y, s))
-        return True
+        return decide(x, y, s)
 
-    g, seps = skeleton_search(indep_test, ("A", "B", "C"), FciConfig())
+    tester._decide = recorded
+    g, seps = skeleton_search(tester)
     assert g.n_edges == 0
-    assert all(s == () for (_, _, s) in calls)  # everything fell at depth zero
+    assert len(calls) == 3
+    assert all(s == 0 for (_, _, s) in calls)  # everything fell at depth zero
     assert len(seps) == 3
 
 
 def test_skeleton_max_cond_size_zero_keeps_all_edges():
-    tester, _ = oracle_tester(shapes_oracle())
-    cfg = FciConfig(test="oracle", max_cond_size=0)
-    g, seps = skeleton_search(tester, OBS4, cfg)
+    g, seps = skeleton_search(oracle_tester(shapes_oracle(), max_cond_size=0))
     assert g.n_edges == 6
     assert len(seps) == 0
 
 
 def test_skeleton_needs_two_nodes():
     with pytest.raises(InputError):
-        skeleton_search(lambda *a: True, ("A",), FciConfig())
+        skeleton_search(edgeless_tester(("A",)))
 
 
 def test_skeleton_respects_adjacency_knowledge():
-    tester, cfg = oracle_tester(shapes_oracle())
     know = BackgroundKnowledge(
         forbidden_adjacencies={frozenset(("H", "V"))},
         required_adjacencies={frozenset(("H", "Yhat"))},
     )
-    g, seps = skeleton_search(tester, OBS4, cfg, knowledge=know)
+    g, seps = skeleton_search(oracle_tester(shapes_oracle()), knowledge=know)
     assert not g.adjacent("H", "V")
     assert g.adjacent("H", "Yhat")  # never tested, stays
     entry = seps.get(0, 1)
@@ -179,7 +182,7 @@ def test_test_errors_carry_the_query():
     tester = CiTester(d, FciConfig(test="chi2"))
     tester._decide = broken
     with pytest.raises(ValueError) as err:
-        skeleton_search(tester, ("a", "b"), FciConfig())
+        skeleton_search(tester)
     assert "a _||_ b" in str(err.value)
     assert isinstance(err.value.__cause__, ValueError)
 
@@ -203,7 +206,7 @@ def test_an_error_that_cannot_take_the_query_is_raised_unchanged(kind, test):
     tester = CiTester(d, FciConfig(test=test))
     tester._decide = broken
     with pytest.raises(TwoPartError) as err:
-        tester(0, 1, ())
+        tester.first_independent(0, 1, [()])
     assert err.value is error and err.value.args == ("boom", "decider")
     assert err.value.__cause__ is None and err.value.__context__ is None
 
@@ -247,7 +250,7 @@ def test_a_failing_score_ahead_call_names_its_first_query():
 
     tester._decide = fails_at_depth_1
     with pytest.raises(ValueError) as err:
-        skeleton_search(tester, d.names, FciConfig())
+        skeleton_search(tester)
     x, y, subsets = calls[-1]
     assert len(set(zip(x, y))) > 1  # one call over several pairs
     assert str(err.value) == (
@@ -420,10 +423,12 @@ def test_a_set_whose_strata_pass_int64_is_scored_on_the_strata_that_occur():
     sizes=st.integers(1, 3),
 )
 def test_a_stage_asks_every_query_and_repeats_no_answered_walk(seed, n, first, sizes):
-    # random adjacency, candidate masks and required pairs; a test that never
-    # answers "independent" keeps every edge, so each walk's sets are fixed
+    # random adjacency, candidate masks and required pairs; an oracle on a
+    # complete DAG never answers "independent", so every edge stays and each
+    # walk's sets are fixed
     rng = np.random.default_rng(seed)
-    g = MixedGraph([f"v{i}" for i in range(n)], GraphKind.PAG)
+    names = tuple(f"v{i}" for i in range(n))
+    g = MixedGraph(names, GraphKind.PAG)
     required = [0] * n
     for x, y in itertools.combinations(range(n), 2):
         if rng.random() < 0.7:
@@ -434,19 +439,22 @@ def test_a_stage_asks_every_query_and_repeats_no_answered_walk(seed, n, first, s
     candidates = [int(rng.integers(0, 1 << n)) & ~(1 << x) for x in range(n)]
     sizes = range(first, first + sizes)
     walks, asked = {}, set()
-    first_independent = fci_module._first_independent
+    tester = oracle_tester(CiOracle(build_dag(names, itertools.combinations(names, 2)), names))
+    first_independent, decide = tester.first_independent, tester._decide
 
-    def recording(test, x, y, subsets):
+    def recording(x, y, subsets):
         assert (x, y) not in walks
         walks[x, y] = list(subsets)
-        return first_independent(test, x, y, walks[x, y])
+        return first_independent(x, y, walks[x, y])
 
-    def never_independent(x, y, s):
-        asked.add((frozenset((x, y)), frozenset(s)))
-        return False
+    def recorded(x, y, z):
+        asked.add((frozenset((x, y)), frozenset(fci_module.bits(z))))
+        return decide(x, y, z)
 
-    with mock.patch.object(fci_module, "_first_independent", recording):
-        fci_module._run_stage(never_independent, g, SepSetMap(), candidates, sizes, required)
+    tester.first_independent, tester._decide = recording, recorded
+    adj = list(g.adj)
+    fci_module._run_stage(tester, g, SepSetMap(), candidates, sizes, required)
+    assert g.adj == adj
     stage = {
         (frozenset((x, y)), frozenset(s))
         for x in range(n)
@@ -524,14 +532,14 @@ def test_first_independent_matches_a_one_at_a_time_walk(seed, n, arities, k, war
         x, y = (int(v) for v in rng.choice(m, size=2, replace=False))
         rest = [v for v in range(m) if v not in (x, y)]
         s = tuple(sorted(int(v) for v in rng.choice(rest, size=rng.integers(0, 3), replace=False)))
-        batched(x, y, s)
+        batched.first_independent(x, y, [s])
         plain(y, x, s)
     x, y = (int(v) for v in rng.choice(m, size=2, replace=False))
     others = [v for v in range(m) if v not in (x, y)]
     subsets = list(itertools.combinations(others, min(k, len(others))))
 
     got = batched.first_independent(x, y, iter(subsets))
-    assert got == fci_module._first_independent(plain, x, y, iter(subsets))
+    assert got == next((s for s in subsets if plain(x, y, s)), None)
     diag = batched.diagnostics
     assert (diag.tests_run, diag.cache_hits, diag.dof_zero_warnings) == tuple(counts.values())
     assert len(batched._cache) == len(cache)  # nothing cached past the stop
@@ -557,7 +565,7 @@ def test_oracle_first_independent_matches_a_walk_over_oracle_test(
     observed = [name for i, name in enumerate(truth.names) if i not in latent]
     observed = tuple(observed[i] for i in rng.permutation(len(observed)))
     oracle = CiOracle(truth, observed)
-    tester, _ = oracle_tester(oracle)
+    tester = oracle_tester(oracle)
 
     # the reference: a plain callable over oracle_test by names, with a
     # frozenset-keyed cache
@@ -579,13 +587,13 @@ def test_oracle_first_independent_matches_a_walk_over_oracle_test(
         rest = [v for v in range(m) if v not in (x, y)]
         size = min(int(rng.integers(0, 3)), len(rest))
         s = tuple(sorted(int(v) for v in rng.choice(rest, size=size, replace=False)))
-        assert tester(x, y, s) == plain(y, x, s)
+        assert (tester.first_independent(x, y, [s]) is not None) == plain(y, x, s)
     x, y = (int(v) for v in rng.choice(m, size=2, replace=False))
     others = [v for v in range(m) if v not in (x, y)]
     subsets = list(itertools.combinations(others, min(k, len(others))))
 
     got = tester.first_independent(x, y, iter(subsets))
-    assert got == fci_module._first_independent(plain, x, y, iter(subsets))
+    assert got == next((s for s in subsets if plain(x, y, s)), None)
     diag = tester.diagnostics
     assert (diag.tests_run, diag.cache_hits, diag.dof_zero_warnings) == (*counts.values(), 0)
     assert len(tester._cache) == len(cache)  # nothing cached past the stop
@@ -617,7 +625,7 @@ def test_tester_runs_the_selected_test(monkeypatch, kind, selector, expected):
     monkeypatch.setattr(citests_module, "fisher_z_columns", fisherz)
     arity = 2 if kind == "cat" else None
     d = Dataset([Column(name, kind, np.array([0, 1, 0, 1]), arity) for name in "ab"])
-    assert CiTester(d, FciConfig(test=selector))(0, 1, ()) is True
+    assert CiTester(d, FciConfig(test=selector)).first_independent(0, 1, [()]) == ()
     assert calls == [expected]
 
 
@@ -625,8 +633,7 @@ def test_tester_runs_the_selected_test(monkeypatch, kind, selector, expected):
 
 
 def test_orient_colliders_on_shapes_skeleton():
-    tester, cfg = oracle_tester(shapes_oracle())
-    g, seps = skeleton_search(tester, OBS4, cfg)
+    g, seps = skeleton_search(oracle_tester(shapes_oracle()))
     oriented = orient_colliders(g, seps)
     # R is outside sepset(H, Yhat): arrows at R on both edges
     assert oriented.mark_at("R", "H") is Mark.ARROW
@@ -661,10 +668,10 @@ def test_orient_colliders_missing_sepset_is_error():
 
 
 def test_pdsep_no_removals_on_shapes_oracle():
-    tester, cfg = oracle_tester(shapes_oracle())
-    g, seps = skeleton_search(tester, OBS4, cfg)
+    tester = oracle_tester(shapes_oracle())
+    g, seps = skeleton_search(tester)
     before = {(e.a, e.b) for e in g.edges()}
-    pruned, _ = possible_dsep_prune(g, seps, tester, cfg)
+    pruned, _ = possible_dsep_prune(g, seps, tester)
     assert {(e.a, e.b) for e in pruned.edges()} == before
     assert all(
         e.mark_a is Mark.CIRCLE and e.mark_b is Mark.CIRCLE for e in pruned.edges()
@@ -675,7 +682,7 @@ def test_pdsep_edgeless_unchanged():
     g = MixedGraph(("A", "B"), GraphKind.PAG)
     seps = SepSetMap()
     seps.set(0, 1, frozenset())
-    pruned, _ = possible_dsep_prune(g, seps, lambda *a: True, FciConfig())
+    pruned, _ = possible_dsep_prune(g, seps, edgeless_tester(("A", "B")))
     assert pruned.n_edges == 0
 
 
@@ -712,24 +719,53 @@ def test_pdsep_removes_edge_skeleton_cannot():
     seps = [s for (a, b, s), v in facts.items() if {a, b} == {x, y} and v]
     assert seps == [frozenset(case["separator"])]
     oracle = CiOracle(dag, tuple(case["observed"]))
-    tester, cfg = oracle_tester(oracle)
-    sk, sepmap = skeleton_search(tester, case["observed"], cfg)
+    tester = oracle_tester(oracle)
+    sk, sepmap = skeleton_search(tester)
     assert sk.adjacent(x, y)
     adj_x = {sk.names[i] for i in sk.neighbors(x)} - {y}
     adj_y = {sk.names[i] for i in sk.neighbors(y)} - {x}
     assert not case["separator"] <= adj_x
     assert not case["separator"] <= adj_y
-    pruned, sepmap = possible_dsep_prune(sk, sepmap, tester, cfg)
+    pruned, sepmap = possible_dsep_prune(sk, sepmap, tester)
     assert not pruned.adjacent(x, y)
     assert sepmap.as_names(tuple(case["observed"]))[(x, y)] == case["separator"]
+
+
+def pds_case_oracle():
+    case = PDS_REQUIRED_CASE
+    return CiOracle(build_dag(case["nodes"], case["edges"]), tuple(case["observed"]))
+
+
+@pytest.mark.parametrize("limit", [2, 3])
+def test_possible_dsep_reads_the_testers_size_limit(limit):
+    # the one separator of the pair has three members
+    tester = oracle_tester(pds_case_oracle(), max_cond_size=limit)
+    pruned, _ = possible_dsep_prune(*skeleton_search(tester), tester)
+    assert pruned.adjacent(*PDS_REQUIRED_CASE["pair"]) == (limit < 3)
+
+
+def test_each_stage_counts_into_the_testers_diagnostics():
+    tester = oracle_tester(pds_case_oracle())
+    diag = tester.diagnostics
+    sk, seps = skeleton_search(tester)
+    assert diag.tests_run > 0
+    assert diag.stage_edge_counts == {"initial": 10, "post_skeleton": sk.n_edges}
+    skeleton_tests = diag.tests_run
+    pruned, _ = possible_dsep_prune(sk, seps, tester)
+    assert diag.tests_run > skeleton_tests
+    assert diag.stage_edge_counts["post_possible_dsep"] == pruned.n_edges == sk.n_edges - 1
+    assert diag.rule_firings["R0"] > 0  # the provisional collider pass
+    assert tester.diagnostics is diag
+    # the two stages ask every test a full run asks
+    full = fci_run(pds_case_oracle(), cfg=tester.cfg).diagnostics
+    assert (full.tests_run, full.cache_hits) == (diag.tests_run, diag.cache_hits)
 
 
 # -- orientation rules ----------------------------------------------------------------------
 
 
 def test_rules_on_shapes_oracle_reach_target_pag():
-    tester, cfg = oracle_tester(shapes_oracle())
-    g, seps = skeleton_search(tester, OBS4, cfg)
+    g, seps = skeleton_search(oracle_tester(shapes_oracle()))
     g = orient_colliders(g, seps)
     know = BackgroundKnowledge.non_ancestor_of_all("Yhat", OBS4)
     out = apply_orientation_rules(g, know, seps)
@@ -899,8 +935,7 @@ def test_fci_run_knowledge_soundness_and_monotone_refinement():
             continue  # knowledge must be true in the generating graph
         oracle = CiOracle(dag, tuple(names))
         cfg = FciConfig(test="oracle")
-        tester = CiTester(oracle, cfg)
-        sk, seps = skeleton_search(tester, names, cfg)
+        sk, seps = skeleton_search(CiTester(oracle, cfg))
         post_skeleton = {(e.a, e.b) for e in sk.edges()}
         res = fci_run(oracle, cfg=cfg, target=target)
         final = {(e.a, e.b) for e in res.graph.edges()}
@@ -928,6 +963,21 @@ def test_fci_run_disable_possible_dsep():
     x, y = case["pair"]
     assert lite.graph.adjacent(x, y)
     assert not full.graph.adjacent(x, y)
+
+
+def test_fci_run_returns_its_testers_diagnostics(monkeypatch):
+    testers = []
+
+    class Recorded(CiTester):
+        def __init__(self, *args):
+            super().__init__(*args)
+            testers.append(self)
+
+    monkeypatch.setattr(fci_module, "CiTester", Recorded)
+    res = fci_run(shapes_oracle(), cfg=FciConfig(test="oracle"), target="Yhat")
+    [tester] = testers
+    assert res.diagnostics is tester.diagnostics
+    assert res.diagnostics.tests_run > 0
 
 
 def test_fci_run_rejects_unknown_target_and_knowledge_names():

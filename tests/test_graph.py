@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ from pagaudit.simgen import truth_dag
 def test_duplicate_names_rejected():
     with pytest.raises(InputError):
         MixedGraph(["A", "A"], GraphKind.DAG)
+
+
+@pytest.mark.parametrize("name", [0, 2, None, 1.5, b"a", ("a",)])
+def test_a_node_name_that_is_not_a_str_is_rejected(name):
+    # a name 0 once shared the index map with node index 0, so index(0)
+    # gave node "b"
+    with pytest.raises(InputError, match=rf"node name {re.escape(repr(name))} is not a string"):
+        MixedGraph(["b", name, "c"], GraphKind.PAG)
+    g = MixedGraph(["b", "0", "c"], GraphKind.PAG)
+    assert (g.index("0"), g.index(0)) == (1, 0)
 
 
 def test_self_loop_and_duplicate_edge_rejected():

@@ -12,7 +12,8 @@ from helpers import bird_like_standin, xray_like_standin
 from pagaudit.data import Column, CountTable, Dataset
 from pagaudit.errors import InputError
 from pagaudit.fci import FciConfig, fci_run
-from pagaudit.graph import EdgeClass, to_json
+from pagaudit import stability as stability_module
+from pagaudit.graph import BackgroundKnowledge, EdgeClass, to_json
 from pagaudit.simgen import simulate
 from pagaudit.stability import (
     StabilityConfig,
@@ -256,3 +257,17 @@ def test_a_test_that_does_not_fit_the_columns_raises_before_any_replicate(kind, 
     cfg = StabilityConfig(target="t", replicates=3, fci=FciConfig(test=test))
     with pytest.raises(InputError):
         run_stability(Dataset(cols), cfg)
+
+
+def test_knowledge_naming_an_unknown_variable_raises_before_any_replicate(monkeypatch):
+    # such knowledge once failed every replicate alike and returned a report
+    # of zero successes; fci_run raises the same InputError on one run
+    know = BackgroundKnowledge(forbidden_adjacencies={("H", "nosuch")})
+    d = simulate(500, 1)
+    with pytest.raises(InputError, match=r"knowledge references unknown variables: \['nosuch'\]"):
+        fci_run(d, know, target="Yhat")
+    replicates = []
+    monkeypatch.setattr(stability_module, "_one_replicate", lambda *args: replicates.append(args))
+    with pytest.raises(InputError, match=r"knowledge references unknown variables: \['nosuch'\]"):
+        run_stability(d, StabilityConfig(target="Yhat", replicates=3), know)
+    assert replicates == []
